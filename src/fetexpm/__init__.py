@@ -14,11 +14,9 @@ from .dense import (
     as_complex_matrix,
     lu_factor,
     lu_solve,
-    mat_mul,
     max_abs_diff,
 )
 from .matio import MatrixParseError, format_matrix, load_matrix, parse_matrix
-from .mesh import TimeMesh, uniform_mesh
 from .oracles import (
     EXACT_EXPM,
     NAMED_MATRICES,
@@ -56,7 +54,6 @@ __all__ = [
     "SingularMatrixError",
     "StudyRow",
     "TABLE1_STEPS",
-    "TimeMesh",
     "as_complex_matrix",
     "assemble_rhs",
     "assemble_system",
@@ -77,13 +74,11 @@ __all__ = [
     "m2",
     "m3",
     "m4",
-    "mat_mul",
     "max_abs_diff",
     "min_basis_for_tolerance",
     "parse_matrix",
     "propagate_element",
     "sweep",
     "table1",
-    "uniform_mesh",
     "unit2",
 ]

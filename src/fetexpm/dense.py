@@ -33,15 +33,6 @@ def as_complex_matrix(data) -> np.ndarray:
     return a
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two dense complex matrices."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def max_abs_diff(a, b) -> float:
     """Largest entrywise modulus of ``a - b``; the accuracy metric used throughout."""
     a = as_complex_matrix(a)
@@ -67,12 +58,12 @@ class LuFactorization:
     pivot_permutation: np.ndarray
 
 
-def lu_factor(a, pivot_threshold: float = SINGULARITY_THRESHOLD) -> LuFactorization:
+def lu_factor(a) -> LuFactorization:
     """Factor a square complex matrix as ``P @ a = L @ U``.
 
     Uses right-looking elimination with partial (row) pivoting on the entry
     modulus.  Raises :class:`SingularMatrixError` if the best available
-    pivot falls below ``pivot_threshold``.
+    pivot falls below ``SINGULARITY_THRESHOLD``.
     """
     lu = as_complex_matrix(a)
     n, n_cols = lu.shape
@@ -81,7 +72,7 @@ def lu_factor(a, pivot_threshold: float = SINGULARITY_THRESHOLD) -> LuFactorizat
     perm = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < pivot_threshold:
+        if abs(lu[p, k]) < SINGULARITY_THRESHOLD:
             raise SingularMatrixError(
                 f"pivot {abs(lu[p, k]):.3e} below threshold at column {k}"
             )
@@ -98,20 +89,22 @@ def lu_factor(a, pivot_threshold: float = SINGULARITY_THRESHOLD) -> LuFactorizat
 def lu_solve(fact: LuFactorization, rhs) -> np.ndarray:
     """Solve ``A @ x = rhs`` from the packed factorization of ``A``.
 
-    Forward and back substitution sweep column by column, which keeps the
-    rounding behaviour of the classic triangular kernels.
+    ``rhs`` is a vector or an ``n x k`` matrix of ``k`` right-hand sides,
+    all solved in one sweep.  Forward and back substitution run column by
+    column of the factors, which keeps the rounding behaviour of the classic
+    triangular kernels.
     """
     x = np.asarray(rhs, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] != fact.n:
-        raise ValueError(f"right-hand side must have length {fact.n}")
+    if x.ndim not in (1, 2) or x.shape[0] != fact.n:
+        raise ValueError(f"right-hand side must be a vector or matrix with {fact.n} rows")
     if not np.isfinite(x).all():
         raise ValueError("right-hand side entries must be finite")
     lu = fact.packed_lu
     n = fact.n
     x = x[fact.pivot_permutation]
     for j in range(n - 1):
-        x[j + 1:] -= lu[j + 1:, j] * x[j]
+        x[j + 1:] -= np.multiply.outer(lu[j + 1:, j], x[j])
     for j in range(n - 1, -1, -1):
         x[j] /= lu[j, j]
-        x[:j] -= lu[:j, j] * x[j]
+        x[:j] -= np.multiply.outer(lu[:j, j], x[j])
     return x

@@ -3,22 +3,22 @@
 For a square matrix ``a``, the matrix function ``psi(t) = exp(a t)`` solves
 ``d(psi)/dt = a @ psi`` with ``psi(0) = I``, so ``exp(a)`` is reached by
 integrating over an artificial unit time interval.  The interval is split
-into elements; on each element every column of ``psi`` is expanded in the
-integrated-Chebyshev basis on top of its value at the element's left edge,
-which keeps the solution continuous across elements for free.
+into equal elements; on each element every column of ``psi`` is expanded in
+the integrated-Chebyshev basis on top of its value at the element's left
+edge, which keeps the solution continuous across elements for free.
 
 A weighted Galerkin projection of the differential equation couples the
-``m`` basis coefficients of the ``n`` rows of one column into the block
+``m`` basis coefficients of the ``n`` rows of each column into the block
 system
 
     (scale * kron(deriv, I_n) - kron(overlap, a)) @ coeffs
-        = kron(load, a @ psi_prev[:, j])
+        = kron(load[:, None], a @ psi_prev)
 
-laid out basis-major: composite index ``mu * n + i`` addresses basis
-function ``mu``, matrix row ``i``.  The system matrix depends only on
-``a``, the element width and ``m``, so one LU factorization serves every
-element and every column.  Column solves are independent of each other and
-may run concurrently against the shared factorization; elements are
+laid out basis-major: composite row index ``mu * n + i`` addresses basis
+function ``mu``, matrix row ``i``, and column ``j`` of ``coeffs`` belongs to
+column ``j`` of ``psi``.  The system matrix depends only on ``a``, the
+element width ``2 / scale`` and ``m``, so it is LU-factored once and every
+element makes one batched solve for all ``n`` columns.  Elements are
 inherently sequential, each consuming the previous element's end value.
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .basis import BasisTables, build_tables
 from .dense import LuFactorization, as_complex_matrix, lu_factor, lu_solve
-from .mesh import uniform_mesh
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class PropagatorFactorization:
 
     n: int
     m: int
-    scale: float
     tables: BasisTables
     system: np.ndarray
     system_lu: LuFactorization
@@ -82,22 +80,20 @@ def assemble_system(a, scale: float, tables: BasisTables) -> np.ndarray:
     return system
 
 
-def assemble_rhs(a, psi_prev, load: np.ndarray, col: int) -> np.ndarray:
-    """Right-hand side for one column of the block system.
+def assemble_rhs(a, psi_prev, load: np.ndarray) -> np.ndarray:
+    """Right-hand sides of the block system, one column per column of ``psi_prev``.
 
-    Entry at composite index (mu', i) is ``load[mu'] * (a @ psi_prev)[i, col]``.
-    The matrix-vector product accumulates in plain ascending order so the
-    result is reproducible entry for entry by a nested-loop construction.
+    Entry at composite row (mu', i), column j is
+    ``load[mu'] * (a @ psi_prev)[i, j]``.  The matrix product accumulates in
+    plain ascending order so the result is reproducible entry for entry by a
+    nested-loop construction.
     """
     a = as_complex_matrix(a)
     psi_prev = as_complex_matrix(psi_prev)
     n = a.shape[0]
     if a.shape != (n, n) or psi_prev.shape != (n, n):
         raise ValueError("matrix and state must be square and equally sized")
-    if not 0 <= col < n:
-        raise ValueError(f"column {col} out of range for size {n}")
-    driven = np.einsum("ik,k->i", a, psi_prev[:, col])
-    return np.kron(load, driven)
+    return np.kron(load[:, None], np.einsum("ik,kj->ij", a, psi_prev))
 
 
 def build_factorization(a, scale: float, tables: BasisTables) -> PropagatorFactorization:
@@ -107,7 +103,6 @@ def build_factorization(a, scale: float, tables: BasisTables) -> PropagatorFacto
     return PropagatorFactorization(
         n=a.shape[0],
         m=tables.m,
-        scale=float(scale),
         tables=tables,
         system=system,
         system_lu=lu_factor(system),
@@ -117,15 +112,15 @@ def build_factorization(a, scale: float, tables: BasisTables) -> PropagatorFacto
 def _advance(fact: PropagatorFactorization, a, psi_prev):
     """One element step: returns the new end value and the worst column residual."""
     n, m = fact.n, fact.m
-    psi_new = psi_prev.copy()
-    worst = 0.0
-    for col in range(n):
-        rhs = assemble_rhs(a, psi_prev, fact.tables.load, col)
-        coeffs = lu_solve(fact.system_lu, rhs)
-        resid = float(np.max(np.abs(fact.system @ coeffs - rhs)))
-        worst = max(worst, resid)
-        psi_new[:, col] += fact.tables.end_vals @ coeffs.reshape(m, n)
-    return psi_new, worst
+    rhs = assemble_rhs(a, psi_prev, fact.tables.load)
+    coeffs = lu_solve(fact.system_lu, rhs)
+    resid = fact.system @ coeffs
+    resid -= rhs
+    # coefficients regrouped as (column, basis, row): one contiguous (m, n)
+    # block per column, evaluated at local time +1 like a single-column solve
+    per_col = np.ascontiguousarray(coeffs.reshape(m, n, n).transpose(2, 0, 1))
+    psi_new = psi_prev + (fact.tables.end_vals @ per_col).T
+    return psi_new, float(np.max(np.abs(resid)))
 
 
 def propagate_element(fact: PropagatorFactorization, a, psi_prev) -> np.ndarray:
@@ -174,9 +169,9 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
         raise ValueError("number of basis functions must be >= 1")
 
     tables = build_tables(num_basis)
-    mesh = uniform_mesh(num_elements)
-    # uniform mesh + constant matrix: one factorization serves all elements
-    fact = build_factorization(a, float(mesh.scale[0]), tables)
+    # equal elements of width 1/E map onto [-1, 1] with scale 2E; with a
+    # constant matrix one factorization serves all elements
+    fact = build_factorization(a, 2.0 * num_elements, tables)
     psi = np.eye(fact.n, dtype=np.complex128)
     residuals = []
     for _ in range(num_elements):

@@ -194,8 +194,9 @@ def test_criterion_8_assembly_matches_brute_force_bitwise():
                                 val - a[i, k] * tables.overlap[mu_row, mu_col]
                             )
             ok = ok and (system == brute).all()
+            rhs = assemble_rhs(a, psi, tables.load)
+            ok = ok and rhs.shape == (n * m, n)
             for col in range(n):
-                rhs = assemble_rhs(a, psi, tables.load, col)
                 brute_rhs = np.empty(n * m, dtype=complex)
                 for mu_row in range(m):
                     for i in range(n):
@@ -203,7 +204,7 @@ def test_criterion_8_assembly_matches_brute_force_bitwise():
                         for k in range(n):
                             acc += a[i, k] * psi[k, col]
                         brute_rhs[mu_row * n + i] = tables.load[mu_row] * acc
-                ok = ok and (rhs == brute_rhs).all()
+                ok = ok and (rhs[:, col] == brute_rhs).all()
     check("C8 brute-force assembly equivalence", bool(ok), "bitwise for n<=3, m<=4")
 
 

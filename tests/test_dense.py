@@ -7,7 +7,6 @@ from fetexpm import (
     as_complex_matrix,
     lu_factor,
     lu_solve,
-    mat_mul,
     max_abs_diff,
 )
 
@@ -39,36 +38,6 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_complex_matrix([[complex(0.0, np.inf)]])
-
-
-def test_mat_mul_identity():
-    m = np.array([[1.5, -2.0j], [3.0 + 1.0j, 0.25]])
-    assert_array_equal(mat_mul(np.eye(2), m), m)
-
-
-def test_mat_mul_quarter_turn_squared():
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert_array_equal(mat_mul(rot, rot), np.array([[-1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_mat_mul_matches_triple_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        a = random_unit_disk(rng, 3)
-        b = random_unit_disk(rng, 3)
-        expected = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                acc = 0.0 + 0.0j
-                for k in range(3):
-                    acc += a[i, k] * b[k, j]
-                expected[i, j] = acc
-        assert max_abs_diff(mat_mul(a, b), expected) <= 1e-14
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(2), np.eye(3))
 
 
 def test_lu_identity():
@@ -134,14 +103,30 @@ def test_solve_roundtrip_through_mat_mul():
         a = random_unit_disk(rng, n) + 1.5 * np.eye(n)
         b = random_unit_disk(rng, n)[:, 0]
         x = lu_solve(lu_factor(a), b)
-        back = mat_mul(a, x.reshape(n, 1))[:, 0]
+        back = a @ x
         assert np.max(np.abs(back - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_solve_matrix_rhs_equals_stacked_column_solves():
+    # k >= 2 only: with a single column numpy may take another inner loop
+    # for the complex product, which can round differently in the last bit
+    rng = np.random.default_rng(321)
+    for n in (2, 5, 16):
+        fact = lu_factor(random_unit_disk(rng, n) + 1.5 * np.eye(n))
+        for k in (2, 3, n):
+            b = random_unit_disk(rng, max(n, k))[:n, :k]
+            stacked = np.stack([lu_solve(fact, b[:, col]) for col in range(k)], axis=1)
+            assert lu_solve(fact, b).tobytes() == stacked.tobytes()
 
 
 def test_solve_length_mismatch():
     fact = lu_factor(np.eye(3))
     with pytest.raises(ValueError):
         lu_solve(fact, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        lu_solve(fact, np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        lu_solve(fact, np.ones((3, 3, 1)))
 
 
 def test_max_abs_diff_basics():

@@ -84,30 +84,32 @@ def test_assembly_matches_nested_loops_exactly():
             scale = 16.0
             system = assemble_system(a, scale, tables)
             assert (system == brute_force_system(a, scale, tables)).all()
+            rhs = assemble_rhs(a, psi, tables.load)
+            assert rhs.shape == (n * m, n)
             for col in range(n):
-                rhs = assemble_rhs(a, psi, tables.load, col)
-                assert (rhs == brute_force_rhs(a, psi, tables.load, col)).all()
+                assert (rhs[:, col] == brute_force_rhs(a, psi, tables.load, col)).all()
 
 
 def test_rhs_identity_state_picks_matrix_column():
     tables = build_tables(3)
     rng = np.random.default_rng(8)
     a = random_unit_disk(rng, 2)
+    rhs = assemble_rhs(a, np.eye(2), tables.load)
     for col in range(2):
-        rhs = assemble_rhs(a, np.eye(2), tables.load, col)
-        assert_array_equal(rhs, np.kron(tables.load, a[:, col]))
+        assert_array_equal(rhs[:, col], np.kron(tables.load, a[:, col]))
 
 
 def test_rhs_zero_matrix_gives_zero():
     tables = build_tables(4)
-    rhs = assemble_rhs(np.zeros((3, 3)), np.eye(3), tables.load, 1)
-    assert_array_equal(rhs, np.zeros(12))
+    rhs = assemble_rhs(np.zeros((3, 3)), np.eye(3), tables.load)
+    assert_array_equal(rhs, np.zeros((12, 3)))
 
 
 def test_rhs_rejects_bad_column():
+    # a state whose column count does not match the matrix
     tables = build_tables(2)
     with pytest.raises(ValueError):
-        assemble_rhs(np.eye(2), np.eye(2), tables.load, 2)
+        assemble_rhs(np.eye(2), np.ones((2, 3)), tables.load)
 
 
 def test_propagation_of_zero_matrix_keeps_state():
@@ -179,23 +181,41 @@ def test_reusing_one_factorization_equals_refactoring_per_element():
     assert (report.result == psi).all()
 
 
+def per_column_step(fact, a, psi_prev):
+    """Reference element step: one vector solve and one end-value update per column."""
+    n, m = fact.n, fact.m
+    psi_new = psi_prev.copy()
+    for col in range(n):
+        rhs = np.kron(fact.tables.load, np.einsum("ik,k->i", a, psi_prev[:, col]))
+        coeffs = lu_solve(fact.system_lu, rhs)
+        psi_new[:, col] += fact.tables.end_vals @ coeffs.reshape(m, n)
+    return psi_new
+
+
+def test_batched_step_matches_per_column_reference_bitwise():
+    rng = np.random.default_rng(909)
+    for n in (2, 3, 4, 8):
+        for m in (1, 5, 8, 16):
+            a = random_unit_disk(rng, n)
+            psi = random_unit_disk(rng, n)
+            fact = build_factorization(a, 2.0 * n + 4.0, build_tables(m))
+            batched = propagate_element(fact, a, psi)
+            assert batched.tobytes() == per_column_step(fact, a, psi).tobytes()
+
+
 def test_column_solves_share_factorization_across_threads():
     rng = np.random.default_rng(404)
     a = random_unit_disk(rng, 4)
-    tables = build_tables(6)
-    fact = build_factorization(a, 16.0, tables)
-    psi = np.eye(4, dtype=complex)
-    sequential = propagate_element(fact, a, psi)
+    fact = build_factorization(a, 16.0, build_tables(6))
+    rhs = assemble_rhs(a, random_unit_disk(rng, 4), fact.tables.load)
+    batched = lu_solve(fact.system_lu, rhs)
 
     def solve_column(col):
-        rhs = assemble_rhs(a, psi, fact.tables.load, col)
-        return col, lu_solve(fact.system_lu, rhs)
+        return col, lu_solve(fact.system_lu, rhs[:, col])
 
-    parallel = psi.copy()
     with ThreadPoolExecutor(max_workers=4) as pool:
         for col, coeffs in pool.map(solve_column, range(4)):
-            parallel[:, col] += fact.tables.end_vals @ coeffs.reshape(6, 4)
-    assert (sequential == parallel).all()
+            assert (coeffs == batched[:, col]).all()
 
 
 def test_residual_diagnostics_are_small_and_per_element():
