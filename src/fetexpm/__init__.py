@@ -7,7 +7,7 @@ element.  ``expm`` is the main entry point; ``expm_taylor_squaring`` is an
 independent reference implementation used for validation.
 """
 
-from .basis import BasisTables, build_tables, chebyshev_t, integrated_chebyshev
+from .basis import BasisTables, build_tables
 from .dense import (
     LuFactorization,
     SingularMatrixError,
@@ -30,15 +30,7 @@ from .oracles import (
     m4,
     unit2,
 )
-from .propagator import (
-    ExpmReport,
-    PropagatorFactorization,
-    assemble_rhs,
-    assemble_system,
-    build_factorization,
-    expm,
-    propagate_element,
-)
+from .propagator import ExpmReport, assemble_rhs, assemble_system, expm
 from .studies import StudyRow, TABLE1_STEPS, min_basis_for_tolerance, sweep, table1
 
 __version__ = "1.0.0"
@@ -50,23 +42,19 @@ __all__ = [
     "LuFactorization",
     "MatrixParseError",
     "NAMED_MATRICES",
-    "PropagatorFactorization",
     "SingularMatrixError",
     "StudyRow",
     "TABLE1_STEPS",
     "as_complex_matrix",
     "assemble_rhs",
     "assemble_system",
-    "build_factorization",
     "build_tables",
-    "chebyshev_t",
     "exact_m1",
     "exact_m2",
     "exact_unit2",
     "expm",
     "expm_taylor_squaring",
     "format_matrix",
-    "integrated_chebyshev",
     "load_matrix",
     "lu_factor",
     "lu_solve",
@@ -77,7 +65,6 @@ __all__ = [
     "max_abs_diff",
     "min_basis_for_tolerance",
     "parse_matrix",
-    "propagate_element",
     "sweep",
     "table1",
     "unit2",

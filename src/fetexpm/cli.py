@@ -6,7 +6,7 @@ and track one entry).  A matrix argument is either a path to a matrix file
 or one of the built-in names (m1, m2, m3, m4, unit2).
 
 Exit codes: 0 success, 1 usage error, 2 matrix parse error, 3 numerical
-failure.
+failure (a singular block system or an overflow).
 """
 
 import argparse
@@ -87,7 +87,7 @@ def _emit(text: str, output):
 def _run_expm(args) -> int:
     a = _load_operand(args.matrix)
     report = expm(a, num_elements=args.elements, num_basis=args.basis)
-    worst = max(report.residuals) if report.residuals else 0.0
+    worst = max(report.residuals)
     text = (
         f"# elements={report.num_elements} basis={report.num_basis} "
         f"max_residual={worst:.3e}\n" + format_matrix(report.result)

@@ -17,9 +17,12 @@ system
 laid out basis-major: composite row index ``mu * n + i`` addresses basis
 function ``mu``, matrix row ``i``, and column ``j`` of ``coeffs`` belongs to
 column ``j`` of ``psi``.  The system matrix depends only on ``a``, the
-element width ``2 / scale`` and ``m``, so it is LU-factored once and every
-element makes one batched solve for all ``n`` columns.  Elements are
-inherently sequential, each consuming the previous element's end value.
+element width ``2 / scale`` and ``m``, so ``expm`` assembles and LU-factors
+it once, then runs one loop over the elements: each assembles its
+right-hand side, makes one batched solve for all ``n`` columns and adds the
+expansion's end value to ``psi``.  Elements are inherently sequential, each
+consuming the previous element's end value.  A right-hand side or state that
+overflows to non-finite values raises ``OverflowError``.
 """
 
 from dataclasses import dataclass
@@ -27,23 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisTables, build_tables
-from .dense import LuFactorization, as_complex_matrix, lu_factor, lu_solve
-
-
-@dataclass(frozen=True)
-class PropagatorFactorization:
-    """One element's assembled block system and its LU factors.
-
-    Valid only for the (matrix, scale, basis-count) triple it was built
-    from; reusing it across elements is sound exactly when all elements
-    share the same width and the same matrix.
-    """
-
-    n: int
-    m: int
-    tables: BasisTables
-    system: np.ndarray
-    system_lu: LuFactorization
+from .dense import as_complex_matrix, lu_factor, lu_solve
 
 
 @dataclass(frozen=True)
@@ -96,48 +83,6 @@ def assemble_rhs(a, psi_prev, load: np.ndarray) -> np.ndarray:
     return np.kron(load[:, None], np.einsum("ik,kj->ij", a, psi_prev))
 
 
-def build_factorization(a, scale: float, tables: BasisTables) -> PropagatorFactorization:
-    """Assemble and LU-factor the element system once, for reuse across elements."""
-    a = as_complex_matrix(a)
-    system = assemble_system(a, scale, tables)
-    return PropagatorFactorization(
-        n=a.shape[0],
-        m=tables.m,
-        tables=tables,
-        system=system,
-        system_lu=lu_factor(system),
-    )
-
-
-def _advance(fact: PropagatorFactorization, a, psi_prev):
-    """One element step: returns the new end value and the worst column residual."""
-    n, m = fact.n, fact.m
-    rhs = assemble_rhs(a, psi_prev, fact.tables.load)
-    coeffs = lu_solve(fact.system_lu, rhs)
-    resid = fact.system @ coeffs
-    resid -= rhs
-    # coefficients regrouped as (column, basis, row): one contiguous (m, n)
-    # block per column, evaluated at local time +1 like a single-column solve
-    per_col = np.ascontiguousarray(coeffs.reshape(m, n, n).transpose(2, 0, 1))
-    psi_new = psi_prev + (fact.tables.end_vals @ per_col).T
-    return psi_new, float(np.max(np.abs(resid)))
-
-
-def propagate_element(fact: PropagatorFactorization, a, psi_prev) -> np.ndarray:
-    """Advance the solution across one element.
-
-    ``psi_prev`` is the solution at the element's left edge; the return
-    value is the solution at its right edge, obtained by evaluating the
-    basis expansion at local time +1 on top of ``psi_prev``.
-    """
-    a = as_complex_matrix(a)
-    psi_prev = as_complex_matrix(psi_prev)
-    if a.shape != (fact.n, fact.n) or psi_prev.shape != (fact.n, fact.n):
-        raise ValueError("matrix and state must match the factorization size")
-    psi_new, _ = _advance(fact, a, psi_prev)
-    return psi_new
-
-
 def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     """Exponential of a square complex matrix by element-wise propagation.
 
@@ -155,11 +100,17 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     ExpmReport
         The n x n exponential at t = 1 plus per-element solve residuals.
 
+    Raises
+    ------
+    OverflowError
+        If the block system, a right-hand side or the state overflows.
+
     The defaults reproduce the method's reference accuracy on
     well-scaled matrices (about 13 significant digits).
     """
     a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    n = a.shape[0]
+    if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
     num_elements = int(num_elements)
     num_basis = int(num_basis)
@@ -171,12 +122,25 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     tables = build_tables(num_basis)
     # equal elements of width 1/E map onto [-1, 1] with scale 2E; with a
     # constant matrix one factorization serves all elements
-    fact = build_factorization(a, 2.0 * num_elements, tables)
-    psi = np.eye(fact.n, dtype=np.complex128)
+    system = assemble_system(a, 2.0 * num_elements, tables)
+    system_lu = lu_factor(system)
+    psi = np.eye(n, dtype=np.complex128)
     residuals = []
-    for _ in range(num_elements):
-        psi, worst = _advance(fact, a, psi)
-        residuals.append(worst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(num_elements):
+            rhs = assemble_rhs(a, psi, tables.load)
+            if not np.isfinite(rhs).all():
+                raise OverflowError("right-hand side overflowed to non-finite values")
+            coeffs = lu_solve(system_lu, rhs)
+            resid = system @ coeffs
+            resid -= rhs
+            # coefficients regrouped as (column, basis, row): one contiguous
+            # (m, n) block per column, evaluated at local time +1
+            per_col = np.ascontiguousarray(coeffs.reshape(num_basis, n, n).transpose(2, 0, 1))
+            psi = psi + (tables.end_vals @ per_col).T
+            if not np.isfinite(psi).all():
+                raise OverflowError("solution overflowed to non-finite values")
+            residuals.append(float(np.max(np.abs(resid))))
     return ExpmReport(
         result=psi,
         num_elements=num_elements,

@@ -21,7 +21,7 @@ class StudyRow:
     num_elements: int
     num_basis: int
     max_abs_error: float
-    selected_entry: complex | None = None
+    selected_entry: complex
 
 
 def min_basis_for_tolerance(

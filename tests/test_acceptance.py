@@ -6,6 +6,7 @@ on failure) and asserts the criterion at its stated tolerance.
 
 import numpy as np
 
+from chebyshev_oracle import integrated_chebyshev
 from fetexpm import (
     build_tables,
     exact_m1,
@@ -14,7 +15,6 @@ from fetexpm import (
     expm,
     expm_taylor_squaring,
     format_matrix,
-    integrated_chebyshev,
     lu_factor,
     m1,
     m2,

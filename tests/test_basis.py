@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fetexpm import build_tables, chebyshev_t, integrated_chebyshev
+from chebyshev_oracle import chebyshev_t, integrated_chebyshev
+from fetexpm import build_tables
 
 
 def quadrature_tables(m, num_nodes=64):

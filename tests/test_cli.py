@@ -137,3 +137,11 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "expm", str(path))
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_overflowing_propagation_exits_three(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("1\n800\n")
+    code, out, err = run_cli(capsys, "expm", str(path), "-E", "128")
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "overflow" in err

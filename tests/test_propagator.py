@@ -1,4 +1,5 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,16 +9,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fetexpm import (
     assemble_rhs,
     assemble_system,
-    build_factorization,
     build_tables,
     expm,
     expm_taylor_squaring,
     exact_m1,
+    lu_factor,
     lu_solve,
     m1,
     m2,
     max_abs_diff,
-    propagate_element,
 )
 
 
@@ -113,10 +113,15 @@ def test_rhs_rejects_bad_column():
 
 
 def test_propagation_of_zero_matrix_keeps_state():
+    # the zero matrix gives zero right-hand sides, so an element adds nothing
+    # to whatever state it starts from
     rng = np.random.default_rng(77)
     psi = random_unit_disk(rng, 3)
-    fact = build_factorization(np.zeros((3, 3)), 4.0, build_tables(5))
-    assert (propagate_element(fact, np.zeros((3, 3)), psi) == psi).all()
+    zero = np.zeros((3, 3))
+    tables = build_tables(5)
+    system_lu = lu_factor(assemble_system(zero, 4.0, tables))
+    coeffs = lu_solve(system_lu, assemble_rhs(zero, psi, tables.load))
+    assert (coeffs == 0.0).all()
 
 
 def test_single_element_scalar_exponential():
@@ -125,9 +130,8 @@ def test_single_element_scalar_exponential():
 
 
 def test_one_narrow_element_rotates_by_its_width():
-    # one element of width 1/8 advances the rotation generator by 1/8 radian
-    fact = build_factorization(m2(), 16.0, build_tables(8))
-    psi = propagate_element(fact, m2(), np.eye(2, dtype=complex))
+    # one element over the generator scaled by 1/8 rotates by 1/8 radian
+    psi = expm(m2() / 8.0, num_elements=1).result
     c, s = math.cos(0.125), math.sin(0.125)
     assert_allclose(psi, [[c, -s], [s, c]], atol=1e-15)
 
@@ -169,27 +173,39 @@ def test_matches_series_reference_at_spectral_norm_two():
             assert err <= 1e-12
 
 
+def reference_expm(a, num_elements, num_basis, *, refactor):
+    """expm's element loop rebuilt from the public layers, one column at a time.
+
+    Each column of the state gets its own vector solve and end-value update;
+    with ``refactor`` the block system is also assembled and factored afresh
+    in every element.
+    """
+    n = a.shape[0]
+    tables = build_tables(num_basis)
+    psi = np.eye(n, dtype=complex)
+    system_lu = lu_factor(assemble_system(a, 2.0 * num_elements, tables))
+    for _ in range(num_elements):
+        if refactor:
+            system_lu = lu_factor(assemble_system(a, 2.0 * num_elements, tables))
+        rhs = assemble_rhs(a, psi, tables.load)
+        psi_new = psi.copy()
+        for col in range(n):
+            coeffs = lu_solve(system_lu, rhs[:, col])
+            psi_new[:, col] += tables.end_vals @ coeffs.reshape(num_basis, n)
+        psi = psi_new
+    return psi
+
+
 def test_reusing_one_factorization_equals_refactoring_per_element():
     rng = np.random.default_rng(555)
-    a = random_unit_disk(rng, 3)
-    report = expm(a, num_elements=5, num_basis=6)
-    tables = build_tables(6)
-    psi = np.eye(3, dtype=complex)
-    for _ in range(5):
-        fresh = build_factorization(a, 10.0, tables)
-        psi = propagate_element(fresh, a, psi)
-    assert (report.result == psi).all()
-
-
-def per_column_step(fact, a, psi_prev):
-    """Reference element step: one vector solve and one end-value update per column."""
-    n, m = fact.n, fact.m
-    psi_new = psi_prev.copy()
-    for col in range(n):
-        rhs = np.kron(fact.tables.load, np.einsum("ik,k->i", a, psi_prev[:, col]))
-        coeffs = lu_solve(fact.system_lu, rhs)
-        psi_new[:, col] += fact.tables.end_vals @ coeffs.reshape(m, n)
-    return psi_new
+    for n in (2, 3, 4, 8):
+        for m in (1, 5, 8, 16):
+            a = random_unit_disk(rng, n)
+            for num_elements in (1, 3, 5):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                reference = reference_expm(a, num_elements, m, refactor=True)
+                assert report.result.tobytes() == reference.tobytes()
+                assert len(report.residuals) == num_elements
 
 
 def test_batched_step_matches_per_column_reference_bitwise():
@@ -197,21 +213,22 @@ def test_batched_step_matches_per_column_reference_bitwise():
     for n in (2, 3, 4, 8):
         for m in (1, 5, 8, 16):
             a = random_unit_disk(rng, n)
-            psi = random_unit_disk(rng, n)
-            fact = build_factorization(a, 2.0 * n + 4.0, build_tables(m))
-            batched = propagate_element(fact, a, psi)
-            assert batched.tobytes() == per_column_step(fact, a, psi).tobytes()
+            for num_elements in (1, 3, 5):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                reference = reference_expm(a, num_elements, m, refactor=False)
+                assert report.result.tobytes() == reference.tobytes()
 
 
 def test_column_solves_share_factorization_across_threads():
     rng = np.random.default_rng(404)
     a = random_unit_disk(rng, 4)
-    fact = build_factorization(a, 16.0, build_tables(6))
-    rhs = assemble_rhs(a, random_unit_disk(rng, 4), fact.tables.load)
-    batched = lu_solve(fact.system_lu, rhs)
+    tables = build_tables(6)
+    system_lu = lu_factor(assemble_system(a, 16.0, tables))
+    rhs = assemble_rhs(a, random_unit_disk(rng, 4), tables.load)
+    batched = lu_solve(system_lu, rhs)
 
     def solve_column(col):
-        return col, lu_solve(fact.system_lu, rhs[:, col])
+        return col, lu_solve(system_lu, rhs[:, col])
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         for col, coeffs in pool.map(solve_column, range(4)):
@@ -237,3 +254,16 @@ def test_rejects_bad_arguments():
 def test_overflowing_assembly_is_reported():
     with pytest.raises(OverflowError):
         expm([[1e308]])
+
+
+@pytest.mark.parametrize(
+    ("value", "num_elements", "where"),
+    [(800.0, 128, "solution"), (710.5, 256, "right-hand side")],
+)
+def test_overflowing_propagation_raises_without_warnings(value, num_elements, where):
+    # exp(800) and exp(710.5) exceed the largest double; the state or the
+    # right-hand side overflows part-way through the elements
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=where):
+            expm([[value]], num_elements=num_elements)
