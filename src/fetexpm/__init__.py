@@ -8,14 +8,7 @@ independent reference implementation used for validation.
 """
 
 from .basis import BasisTables, build_tables
-from .dense import (
-    LuFactorization,
-    SingularMatrixError,
-    as_complex_matrix,
-    lu_factor,
-    lu_solve,
-    max_abs_diff,
-)
+from .dense import as_complex_matrix, max_abs_diff
 from .matio import MatrixParseError, format_matrix, load_matrix, parse_matrix
 from .oracles import (
     EXACT_EXPM,
@@ -39,10 +32,8 @@ __all__ = [
     "BasisTables",
     "EXACT_EXPM",
     "ExpmReport",
-    "LuFactorization",
     "MatrixParseError",
     "NAMED_MATRICES",
-    "SingularMatrixError",
     "StudyRow",
     "TABLE1_STEPS",
     "as_complex_matrix",
@@ -56,8 +47,6 @@ __all__ = [
     "expm_taylor_squaring",
     "format_matrix",
     "load_matrix",
-    "lu_factor",
-    "lu_solve",
     "m1",
     "m2",
     "m3",

@@ -12,7 +12,8 @@ failure (a singular block system or an overflow).
 import argparse
 import sys
 
-from .dense import SingularMatrixError
+import numpy as np
+
 from .matio import MatrixParseError, format_matrix, load_matrix
 from .oracles import NAMED_MATRICES
 from .propagator import expm
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     except MatrixParseError as exc:
         print(f"fetexpm: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SingularMatrixError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, OverflowError) as exc:
         print(f"fetexpm: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

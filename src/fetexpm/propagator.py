@@ -17,12 +17,13 @@ system
 laid out basis-major: composite row index ``mu * n + i`` addresses basis
 function ``mu``, matrix row ``i``, and column ``j`` of ``coeffs`` belongs to
 column ``j`` of ``psi``.  The system matrix depends only on ``a``, the
-element width ``2 / scale`` and ``m``, so ``expm`` assembles and LU-factors
-it once, then runs one loop over the elements: each assembles its
-right-hand side, makes one batched solve for all ``n`` columns and adds the
-expansion's end value to ``psi``.  Elements are inherently sequential, each
-consuming the previous element's end value.  A right-hand side or state that
-overflows to non-finite values raises ``OverflowError``.
+element width ``2 / scale`` and ``m``, so ``expm`` assembles it once, then
+runs one loop over the elements: each assembles its right-hand side, solves
+for all ``n`` columns with one LAPACK call (``numpy.linalg.solve``) and adds
+the expansion's end value to ``psi``.  Elements are inherently sequential,
+each consuming the previous element's end value.  A right-hand side or state
+that overflows to non-finite values raises ``OverflowError``; an exactly
+singular block system raises ``numpy.linalg.LinAlgError``.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisTables, build_tables
-from .dense import as_complex_matrix, lu_factor, lu_solve
+from .dense import as_complex_matrix
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,10 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     ------
     OverflowError
         If the block system, a right-hand side or the state overflows.
+    numpy.linalg.LinAlgError
+        If the block system is exactly singular, which happens when the
+        element width times an eigenvalue of ``a`` hits a pole of the
+        element map (for example ``expm([[4.0]], 3, 1)``).
 
     The defaults reproduce the method's reference accuracy on
     well-scaled matrices (about 13 significant digits).
@@ -121,9 +126,8 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
 
     tables = build_tables(num_basis)
     # equal elements of width 1/E map onto [-1, 1] with scale 2E; with a
-    # constant matrix one factorization serves all elements
+    # constant matrix one system matrix serves all elements
     system = assemble_system(a, 2.0 * num_elements, tables)
-    system_lu = lu_factor(system)
     psi = np.eye(n, dtype=np.complex128)
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,7 +135,7 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
             rhs = assemble_rhs(a, psi, tables.load)
             if not np.isfinite(rhs).all():
                 raise OverflowError("right-hand side overflowed to non-finite values")
-            coeffs = lu_solve(system_lu, rhs)
+            coeffs = np.linalg.solve(system, rhs)
             resid = system @ coeffs
             resid -= rhs
             # coefficients regrouped as (column, basis, row): one contiguous

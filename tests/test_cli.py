@@ -145,3 +145,12 @@ def test_overflowing_propagation_exits_three(tmp_path, capsys):
     code, out, err = run_cli(capsys, "expm", str(path), "-E", "128")
     assert code == 3 and out == ""
     assert "numerical failure" in err and "overflow" in err
+
+
+def test_singular_block_system_exits_three(tmp_path, capsys):
+    # E=3, m=1: the block system's only entry is 6*pi - 4 * 1.5*pi = 0
+    path = tmp_path / "four.txt"
+    path.write_text("1\n4\n")
+    code, out, err = run_cli(capsys, "expm", str(path), "-E", "3", "-m", "1")
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "Singular" in err
