@@ -7,7 +7,6 @@ element.  ``expm`` is the main entry point; ``expm_taylor_squaring`` is an
 independent reference implementation used for validation.
 """
 
-from .basis import BasisTables, build_tables
 from .dense import as_complex_matrix, max_abs_diff
 from .matio import MatrixParseError, format_matrix, load_matrix, parse_matrix
 from .oracles import (
@@ -23,13 +22,12 @@ from .oracles import (
     m4,
     unit2,
 )
-from .propagator import ExpmReport, assemble_rhs, assemble_system, expm
+from .propagator import ExpmReport, expm
 from .studies import StudyRow, TABLE1_STEPS, min_basis_for_tolerance, sweep, table1
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BasisTables",
     "EXACT_EXPM",
     "ExpmReport",
     "MatrixParseError",
@@ -37,9 +35,6 @@ __all__ = [
     "StudyRow",
     "TABLE1_STEPS",
     "as_complex_matrix",
-    "assemble_rhs",
-    "assemble_system",
-    "build_tables",
     "exact_m1",
     "exact_m2",
     "exact_unit2",

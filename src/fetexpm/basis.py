@@ -18,6 +18,7 @@ against Gauss-Chebyshev quadrature of pointwise-evaluated basis functions;
 those pointwise evaluators live there, not here.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ class BasisTables:
 
 def build_tables(m: int) -> BasisTables:
     """Build the projection tables for the first ``m`` basis functions."""
-    m = int(m)
+    m = operator.index(m)
     if m < 1:
         raise ValueError("basis count must be >= 1")
     coeffs = _integrated_coeffs(m)

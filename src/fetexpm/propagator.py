@@ -24,8 +24,13 @@ the expansion's end value to ``psi``.  Elements are inherently sequential,
 each consuming the previous element's end value.  A right-hand side or state
 that overflows to non-finite values raises ``OverflowError``; an exactly
 singular block system raises ``numpy.linalg.LinAlgError``.
+
+``expm`` is the one place that checks input: it converts ``a`` once and
+checks its shape and the counts.  The assembly kernels take those checked
+arrays as they are and check nothing again.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +44,11 @@ class ExpmReport:
     """Result of a full propagation plus solve diagnostics.
 
     ``residuals`` holds, per element, the largest infinity-norm of
-    ``system @ coeffs - rhs`` over the columns solved in that element,
-    making ill-conditioning of the block system observable.
+    ``system @ coeffs - rhs`` over the columns solved in that element.  It
+    measures only how well LAPACK solved the block system, not how close
+    ``result`` is to the exponential: ``expm(200 * m2())`` is off by 0.87
+    with a largest residual of 5.7e-13, and ``expm([[700.0]])`` has a
+    relative error of 1.0 with a residual of 4.5e-13.
     """
 
     result: np.ndarray
@@ -49,18 +57,13 @@ class ExpmReport:
     residuals: tuple
 
 
-def assemble_system(a, scale: float, tables: BasisTables) -> np.ndarray:
+def assemble_system(a: np.ndarray, scale: float, tables: BasisTables) -> np.ndarray:
     """Assemble the (n*m) x (n*m) block system matrix for one element.
 
     Block entry (mu', i), (mu, k) is
     ``scale * deriv[mu', mu] * (i == k) - a[i, k] * overlap[mu', mu]``.
     """
-    a = as_complex_matrix(a)
-    n, n_cols = a.shape
-    if n != n_cols:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         system = scale * np.kron(tables.deriv, np.eye(n)) - np.kron(tables.overlap, a)
     if not np.isfinite(system).all():
@@ -68,7 +71,7 @@ def assemble_system(a, scale: float, tables: BasisTables) -> np.ndarray:
     return system
 
 
-def assemble_rhs(a, psi_prev, load: np.ndarray) -> np.ndarray:
+def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
     """Right-hand sides of the block system, one column per column of ``psi_prev``.
 
     Entry at composite row (mu', i), column j is
@@ -76,12 +79,8 @@ def assemble_rhs(a, psi_prev, load: np.ndarray) -> np.ndarray:
     plain ascending order so the result is reproducible entry for entry by a
     nested-loop construction.
     """
-    a = as_complex_matrix(a)
-    psi_prev = as_complex_matrix(psi_prev)
     n = a.shape[0]
-    if a.shape != (n, n) or psi_prev.shape != (n, n):
-        raise ValueError("matrix and state must be square and equally sized")
-    return np.kron(load[:, None], np.einsum("ik,kj->ij", a, psi_prev))
+    return (load[:, None, None] * np.einsum("ik,kj->ij", a, psi_prev)).reshape(-1, n)
 
 
 def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
@@ -103,6 +102,10 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
 
     Raises
     ------
+    ValueError
+        If ``a`` is not a square finite matrix or a count is below 1.
+    TypeError
+        If a count is not an integer.
     OverflowError
         If the block system, a right-hand side or the state overflows.
     numpy.linalg.LinAlgError
@@ -117,12 +120,9 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
-    num_elements = int(num_elements)
-    num_basis = int(num_basis)
+    num_elements = operator.index(num_elements)
     if num_elements < 1:
         raise ValueError("number of elements must be >= 1")
-    if num_basis < 1:
-        raise ValueError("number of basis functions must be >= 1")
 
     tables = build_tables(num_basis)
     # equal elements of width 1/E map onto [-1, 1] with scale 2E; with a
@@ -140,7 +140,7 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
             resid -= rhs
             # coefficients regrouped as (column, basis, row): one contiguous
             # (m, n) block per column, evaluated at local time +1
-            per_col = np.ascontiguousarray(coeffs.reshape(num_basis, n, n).transpose(2, 0, 1))
+            per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
             psi = psi + (tables.end_vals @ per_col).T
             if not np.isfinite(psi).all():
                 raise OverflowError("solution overflowed to non-finite values")
@@ -148,6 +148,6 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     return ExpmReport(
         result=psi,
         num_elements=num_elements,
-        num_basis=num_basis,
+        num_basis=tables.m,
         residuals=tuple(residuals),
     )

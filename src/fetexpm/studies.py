@@ -1,5 +1,6 @@
 """Accuracy studies: minimum-basis searches and single-parameter sweeps."""
 
+import math
 from dataclasses import dataclass
 
 from .dense import max_abs_diff
@@ -32,6 +33,8 @@ def min_basis_for_tolerance(
     Scans upward from one basis function; returns None when no count up to
     ``max_basis`` reaches the tolerance.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     for m in range(1, max_basis + 1):
         report = expm(a, num_elements=num_elements, num_basis=m)
         if max_abs_diff(report.result, reference) <= tolerance:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chebyshev_oracle import chebyshev_t, integrated_chebyshev
-from fetexpm import build_tables
+from fetexpm.basis import build_tables
 
 
 def quadrature_tables(m, num_nodes=64):

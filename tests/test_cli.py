@@ -74,6 +74,13 @@ def test_table1_unreachable_tolerance_prints_dash(capsys):
         assert line.endswith(",-")
 
 
+def test_table1_meaningless_tolerance_exits_one(capsys):
+    for tolerance in ("nan", "-1", "inf"):
+        code, out, err = run_cli(capsys, "table1", "m2", "--tolerance", tolerance)
+        assert code == 1 and out == ""
+        assert "tolerance" in err
+
+
 def test_sweep_csv_shape_and_determinism(capsys):
     args = ("sweep", "m2", "--entry", "2,1", "--vary", "basis", "--fixed", "4",
             "--range", "5:7")

@@ -6,17 +6,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from random_matrices import random_unit_disk
-from fetexpm import (
-    assemble_rhs,
-    assemble_system,
-    build_tables,
-    expm,
-    expm_taylor_squaring,
-    exact_m1,
-    m1,
-    m2,
-    max_abs_diff,
-)
+from fetexpm import expm, expm_taylor_squaring, exact_m1, m1, m2, max_abs_diff
+from fetexpm.basis import build_tables
+from fetexpm.dense import as_complex_matrix
+from fetexpm.propagator import assemble_rhs, assemble_system
 
 
 def brute_force_system(a, scale, tables):
@@ -56,7 +49,7 @@ def test_system_for_zero_matrix_is_scaled_kron():
 def test_system_scalar_case_closed_form():
     tables = build_tables(1)
     alpha = 0.7 - 0.2j
-    system = assemble_system([[alpha]], 2.0, tables)
+    system = assemble_system(np.array([[alpha]]), 2.0, tables)
     assert system.shape == (1, 1)
     assert_allclose(system[0, 0], 2.0 * np.pi - alpha * 1.5 * np.pi, rtol=1e-15)
 
@@ -90,13 +83,6 @@ def test_rhs_zero_matrix_gives_zero():
     tables = build_tables(4)
     rhs = assemble_rhs(np.zeros((3, 3)), np.eye(3), tables.load)
     assert_array_equal(rhs, np.zeros((12, 3)))
-
-
-def test_rhs_rejects_bad_column():
-    # a state whose column count does not match the matrix
-    tables = build_tables(2)
-    with pytest.raises(ValueError):
-        assemble_rhs(np.eye(2), np.ones((2, 3)), tables.load)
 
 
 def test_propagation_of_zero_matrix_keeps_state():
@@ -203,12 +189,32 @@ def test_residual_diagnostics_are_small_and_per_element():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        expm(np.ones((2, 3)))
+    # expm is the only place that checks input; the kernels trust it
+    for bad in (np.ones((2, 3)), [[1.0, np.nan], [0.0, 1.0]], [[np.inf]], [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            expm(bad)
     with pytest.raises(ValueError):
         expm(np.eye(2), num_elements=0)
     with pytest.raises(ValueError):
         expm(np.eye(2), num_basis=0)
+    # counts are not truncated: 7.9 elements or 5.5 basis functions is an error
+    with pytest.raises(TypeError):
+        expm(m1(), 7.9)
+    with pytest.raises(TypeError):
+        expm(m1(), 8, 5.5)
+    assert expm(m1(), np.int64(2), np.int32(3)).num_basis == 3
+
+
+def test_input_is_converted_once(monkeypatch):
+    calls = []
+
+    def counting(data):
+        calls.append(1)
+        return as_complex_matrix(data)
+
+    monkeypatch.setattr("fetexpm.propagator.as_complex_matrix", counting)
+    expm(m1(), 8, 8)
+    assert len(calls) == 1
 
 
 def test_singular_block_system_raises():

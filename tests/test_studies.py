@@ -20,6 +20,12 @@ def test_min_basis_returns_none_when_unreachable():
     assert min_basis_for_tolerance(m2(), exact_m2(), num_elements=1, max_basis=5) is None
 
 
+def test_min_basis_rejects_meaningless_tolerance():
+    for tolerance in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError):
+            min_basis_for_tolerance(m2(), exact_m2(), num_elements=4, tolerance=tolerance)
+
+
 def test_table1_shape_and_row_order():
     rows = table1("m2", max_basis=12)
     assert [steps for steps, _ in rows] == [1, 2, 4, 8, 15, 40]
