@@ -18,6 +18,7 @@ against Gauss-Chebyshev quadrature of pointwise-evaluated basis functions;
 those pointwise evaluators live there, not here.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -66,10 +67,17 @@ class BasisTables:
 
 
 def build_tables(m: int) -> BasisTables:
-    """Build the projection tables for the first ``m`` basis functions."""
+    """Projection tables for the first ``m`` basis functions, built once per ``m``."""
     m = operator.index(m)
     if m < 1:
         raise ValueError("basis count must be >= 1")
+    return _cached_tables(m)
+
+
+# keyed on the checked int: a float key would hash equal to it and skip the
+# operator.index check; 64 entries hold a full study scan over m = 1..40
+@functools.lru_cache(maxsize=64)
+def _cached_tables(m: int) -> BasisTables:
     coeffs = _integrated_coeffs(m)
     weights = np.full(m + 1, np.pi / 2.0)
     weights[0] = np.pi

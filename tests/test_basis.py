@@ -129,3 +129,15 @@ def test_end_values():
 def test_tables_reject_bad_size():
     with pytest.raises(ValueError):
         build_tables(0)
+
+
+def test_tables_are_cached_per_checked_count():
+    tables = build_tables(8)
+    assert build_tables(np.int64(8)) is tables
+    # a float hashes equal to the int key, so the cache must sit behind the check
+    with pytest.raises(TypeError):
+        build_tables(8.0)
+    for arr in (tables.deriv, tables.overlap, tables.load, tables.end_vals):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

@@ -15,7 +15,7 @@ def run_cli(capsys, *argv):
 def test_expm_builtin_rotation(capsys):
     code, out, err = run_cli(capsys, "expm", "m2")
     assert code == 0 and err == ""
-    assert out.startswith("# elements=8 basis=8 max_residual=")
+    assert out.startswith("# elements=8 basis=8\n")
     assert max_abs_diff(parse_matrix(out), exact_m2()) <= 5e-14
 
 

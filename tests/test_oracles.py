@@ -82,6 +82,8 @@ def test_named_matrices():
 def test_series_rejects_non_square():
     with pytest.raises(ValueError):
         expm_taylor_squaring(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        expm_taylor_squaring(np.zeros((0, 0)))
 
 
 def test_series_reports_overflow():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fetexpm
 
 
@@ -32,3 +37,14 @@ def test_public_names_are_pinned():
     # the assembly kernels and tables are internal: reach them through their modules
     for name in ("BasisTables", "assemble_rhs", "assemble_system", "build_tables"):
         assert not hasattr(fetexpm, name)
+
+
+def test_import_and_expm_do_not_load_scipy():
+    # importing scipy.linalg costs several times the package's own import
+    src = str(Path(fetexpm.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fetexpm; fetexpm.expm(fetexpm.m1()); print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -178,14 +178,34 @@ def test_batched_step_matches_per_column_reference():
                 reference = reference_expm(a, num_elements, m)
                 scale = np.max(np.abs(reference))
                 assert max_abs_diff(report.result, reference) <= 1e-13 * scale
-                assert len(report.residuals) == num_elements
 
 
-def test_residual_diagnostics_are_small_and_per_element():
-    report = expm(m1())
-    assert len(report.residuals) == 8
-    assert all(r < 1e-10 for r in report.residuals)
-    assert all(math.isfinite(r) for r in report.residuals)
+def kron_loop_expm(a, num_elements, num_basis):
+    """expm's element loop with the Kronecker-product assembly of the block system.
+
+    One batched solve per element, as in ``expm``; the system is built from
+    two ``np.kron`` products instead of the broadcast in ``assemble_system``.
+    """
+    n = a.shape[0]
+    tables = build_tables(num_basis)
+    scale = 2.0 * num_elements
+    system = scale * np.kron(tables.deriv, np.eye(n)) - np.kron(tables.overlap, a)
+    psi = np.eye(n, dtype=complex)
+    for _ in range(num_elements):
+        coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
+        per_col = np.ascontiguousarray(coeffs.reshape(num_basis, n, n).transpose(2, 0, 1))
+        psi = psi + (tables.end_vals @ per_col).T
+    return psi
+
+
+def test_expm_matches_kronecker_loop_bitwise():
+    rng = np.random.default_rng(4242)
+    for n in (1, 2, 3, 8):
+        for m in (1, 5, 8, 16):
+            a = random_unit_disk(rng, n)
+            for num_elements in (1, 3, 5):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                assert np.array_equal(report.result, kron_loop_expm(a, num_elements, m))
 
 
 def test_rejects_bad_arguments():
@@ -193,6 +213,8 @@ def test_rejects_bad_arguments():
     for bad in (np.ones((2, 3)), [[1.0, np.nan], [0.0, 1.0]], [[np.inf]], [1.0, 2.0]):
         with pytest.raises(ValueError):
             expm(bad)
+    with pytest.raises(ValueError, match="non-empty"):
+        expm(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         expm(np.eye(2), num_elements=0)
     with pytest.raises(ValueError):
@@ -202,6 +224,10 @@ def test_rejects_bad_arguments():
         expm(m1(), 7.9)
     with pytest.raises(TypeError):
         expm(m1(), 8, 5.5)
+    # still a TypeError once the tables for m = 8 are cached
+    expm(m1(), 8, 8)
+    with pytest.raises(TypeError):
+        expm(m1(), 8, 8.0)
     assert expm(m1(), np.int64(2), np.int32(3)).num_basis == 3
 
 
