@@ -30,4 +30,6 @@ def max_abs_diff(a, b) -> float:
     b = as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError(f"operands must be non-empty, got {a.shape}")
     return float(np.max(np.abs(a - b)))

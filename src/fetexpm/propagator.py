@@ -16,14 +16,37 @@ system
 
 laid out basis-major: composite row index ``mu * n + i`` addresses basis
 function ``mu``, matrix row ``i``, and column ``j`` of ``coeffs`` belongs to
-column ``j`` of ``psi``.  The system matrix depends only on ``a``, the
-element width ``2 / scale`` and ``m``, so ``expm`` assembles it once, then
-runs one loop over the elements: each assembles its right-hand side, solves
-for all ``n`` columns with one LAPACK call (``numpy.linalg.solve``) and adds
-the expansion's end value to ``psi``.  Elements are inherently sequential,
-each consuming the previous element's end value.  A right-hand side or state
-that overflows to non-finite values raises ``OverflowError``; an exactly
-singular block system raises ``numpy.linalg.LinAlgError``.
+column ``j`` of ``psi``.  Written with the coefficients as an (m, n) stack
+``X`` of n x n blocks, this is the generalized Sylvester equation
+``scale * deriv @ X - overlap @ (a X) = load (a psi_prev)``, and ``expm``
+solves it in one of two ways:
+
+* ``n < 16``, the dense solve: the system matrix depends only on ``a``, the
+  element width ``2 / scale`` and ``m``, so ``expm`` assembles it once, then
+  each element assembles its right-hand side and solves for all ``n``
+  columns with one LAPACK call (``numpy.linalg.solve``) on the whole
+  (n*m) x (n*m) matrix.
+* ``n >= 16``, the pencil solve: the generalized Schur form
+  ``q^H deriv z = aa``, ``q^H overlap z = bb`` of the m x m pencil
+  (``basis.pencil_schur``) makes the system block upper triangular in
+  ``Y = z^H X``, so each element back-substitutes from ``k = m - 1`` down to
+  0 with one shifted n x n solve
+  ``(scale * aa[k, k] I - bb[k, k] a) Y[k] = rhs_k`` per step; the end value
+  is ``(z^T end_vals) @ Y``.  That is O(m n^3) per element instead of
+  O((n m)^3).
+
+Measured with one BLAS thread and E=8 on random complex matrices, the pencil
+solve overtakes the dense one near n=10 at m=8 and between n=4 and n=8 at
+m=16.  At n=4 the dense solve is 3 (m=8) and 2.6 (m=16) times faster; at
+n=16 the pencil solve is 1.8 and 4 times faster, at n=64 5.5 and 13 times.
+The switch sits at 16, above the crossover, so that every matrix smaller
+than that keeps the dense solve's results bit for bit, including minimum
+basis counts that rounding decides.  The two solves agree to rounding.
+
+Elements are inherently sequential, each consuming the previous element's
+end value.  A right-hand side or state that overflows to non-finite values
+raises ``OverflowError``; an exactly singular block system (dense) or
+shifted block (pencil) raises ``numpy.linalg.LinAlgError``.
 
 ``expm`` is the one place that checks input: it converts ``a`` once and
 checks its shape and the counts.  The assembly kernels take those checked
@@ -35,8 +58,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisTables, build_tables
+from .basis import BasisTables, PencilSchur, build_tables, pencil_schur
 from .dense import as_complex_matrix
+
+# matrix size from which expm uses the pencil solve (see the module docstring)
+PENCIL_MIN_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -106,9 +132,10 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     OverflowError
         If the block system, a right-hand side or the state overflows.
     numpy.linalg.LinAlgError
-        If the block system is exactly singular, which happens when the
-        element width times an eigenvalue of ``a`` hits a pole of the
-        element map (for example ``expm([[4.0]], 3, 1)``).
+        If the block system (or, for n >= 16, one of its shifted diagonal
+        blocks) is exactly singular, which happens when the element width
+        times an eigenvalue of ``a`` hits a pole of the element map (for
+        example ``expm([[4.0]], 3, 1)``).
 
     The defaults reproduce the method's reference accuracy on
     well-scaled matrices (about 13 significant digits).
@@ -121,10 +148,23 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     if num_elements < 1:
         raise ValueError("number of elements must be >= 1")
 
+    # equal elements of width 1/E map onto [-1, 1] with scale 2E
+    scale = 2.0 * num_elements
+    if n >= PENCIL_MIN_SIZE:
+        schur = pencil_schur(num_basis)
+        psi = _propagate_pencil(a, scale, num_elements, schur)
+        return ExpmReport(result=psi, num_elements=num_elements, num_basis=schur.m)
     tables = build_tables(num_basis)
-    # equal elements of width 1/E map onto [-1, 1] with scale 2E; with a
-    # constant matrix one system matrix serves all elements
-    system = assemble_system(a, 2.0 * num_elements, tables)
+    psi = _propagate_dense(a, scale, num_elements, tables)
+    return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
+
+
+def _propagate_dense(a: np.ndarray, scale: float, num_elements: int,
+                     tables: BasisTables) -> np.ndarray:
+    """The state after all elements, one dense block solve per element."""
+    n = a.shape[0]
+    # with a constant matrix one system matrix serves all elements
+    system = assemble_system(a, scale, tables)
     psi = np.eye(n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(num_elements):
@@ -138,4 +178,48 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
             psi = psi + (tables.end_vals @ per_col).T
             if not np.isfinite(psi).all():
                 raise OverflowError("solution overflowed to non-finite values")
-    return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
+    return psi
+
+
+def _propagate_pencil(a: np.ndarray, scale: float, num_elements: int,
+                      schur: PencilSchur) -> np.ndarray:
+    """The state after all elements, m shifted n x n solves per element.
+
+    Step ``k`` solves ``(scale aa[k, k] I - bb[k, k] a) Y[k] = load'[k] a psi
+    - sum over j > k of (scale aa[k, j] Y[j] - bb[k, j] a Y[j])`` with the
+    transformed ``load' = q^H load``; the element adds ``(z^T end_vals) @ Y``.
+    """
+    n = a.shape[0]
+    m = schur.m
+    saa = scale * schur.aa
+    bb = schur.bb
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the diagonal blocks of the triangularised system, one per basis step
+        shifted = (np.diagonal(saa)[:, None, None] * np.eye(n)
+                   - np.diagonal(bb)[:, None, None] * a)
+    if not np.isfinite(shifted).all():
+        raise OverflowError("block system overflowed to non-finite values")
+    psi = np.eye(n, dtype=np.complex128)
+    y = np.empty((m, n, n), dtype=np.complex128)
+    ay = np.empty_like(y)
+    # (m, n*n) views, so each coupling sum over later steps is one product
+    y_rows = y.reshape(m, n * n)
+    ay_rows = ay.reshape(m, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(num_elements):
+            # the right-hand side in the transformed rows, one n x n block per step
+            rhs = schur.load[:, None, None] * (a @ psi)
+            if not np.isfinite(rhs).all():
+                raise OverflowError("right-hand side overflowed to non-finite values")
+            for k in range(m - 1, -1, -1):
+                # move the couplings to the steps already solved to the right
+                step_rhs = (rhs[k]
+                            - (saa[k, k + 1:] @ y_rows[k + 1:]).reshape(n, n)
+                            + (bb[k, k + 1:] @ ay_rows[k + 1:]).reshape(n, n))
+                y[k] = np.linalg.solve(shifted[k], step_rhs)
+                if k:  # no step below 0 reads a @ Y[0]
+                    ay[k] = a @ y[k]
+            psi = psi + (schur.end_vals @ y_rows).reshape(n, n)
+            if not np.isfinite(psi).all():
+                raise OverflowError("solution overflowed to non-finite values")
+    return psi

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chebyshev_oracle import chebyshev_t, integrated_chebyshev
-from fetexpm.basis import build_tables
+from fetexpm.basis import build_tables, pencil_schur
 
 
 def quadrature_tables(m, num_nodes=64):
@@ -138,6 +138,40 @@ def test_tables_are_cached_per_checked_count():
     with pytest.raises(TypeError):
         build_tables(8.0)
     for arr in (tables.deriv, tables.overlap, tables.load, tables.end_vals):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_pencil_schur_triangularises_the_tables():
+    for m in range(1, 41):
+        schur = pencil_schur(m)
+        tables = build_tables(m)
+        eye = np.eye(m)
+        assert schur.m == m
+        assert (np.tril(schur.aa, -1) == 0.0).all()
+        assert (np.tril(schur.bb, -1) == 0.0).all()
+        for u in (schur.q, schur.z):
+            assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-14
+        z_h = schur.z.conj().T
+        deriv_back = schur.q @ schur.aa @ z_h
+        overlap_back = schur.q @ schur.bb @ z_h
+        assert np.max(np.abs(deriv_back - tables.deriv)) <= 1e-14 * np.max(np.abs(tables.deriv))
+        assert np.max(np.abs(overlap_back - tables.overlap)) <= 1e-14 * np.max(np.abs(tables.overlap))
+        # the vectors undo their transforms: q load' = load, conj(z) end_vals' = end_vals
+        assert np.max(np.abs(schur.q @ schur.load - tables.load)) <= 1e-14 * np.pi
+        assert np.max(np.abs(schur.z.conj() @ schur.end_vals - tables.end_vals)) <= 1e-14 * 2.0
+
+
+def test_pencil_schur_is_cached_and_read_only():
+    schur = pencil_schur(8)
+    assert pencil_schur(np.int64(8)) is schur
+    with pytest.raises(TypeError):
+        pencil_schur(8.0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            pencil_schur(bad)
+    for arr in (schur.q, schur.z, schur.aa, schur.bb, schur.load, schur.end_vals):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0

@@ -23,6 +23,14 @@ def test_max_abs_diff_basics():
         max_abs_diff(np.eye(2), np.eye(3))
 
 
+def test_max_abs_diff_rejects_empty_operands():
+    # an empty difference has no largest entry; say so instead of failing
+    # inside numpy's reduction
+    for shape in ((0, 0), (0, 3)):
+        with pytest.raises(ValueError, match="non-empty"):
+            max_abs_diff(np.zeros(shape), np.zeros(shape))
+
+
 def test_max_abs_diff_between_published_reference_matrices():
     # two renderings of the same stiff exponential that differ in the last
     # couple of printed digits; their distance pins the metric's behaviour

@@ -40,11 +40,13 @@ def test_public_names_are_pinned():
 
 
 def test_import_and_expm_do_not_load_scipy():
-    # importing scipy.linalg costs several times the package's own import
+    # importing scipy.linalg costs several times the package's own import;
+    # the 16 x 16 call runs the pencil solve, whose factors are numpy-only
     src = str(Path(fetexpm.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, fetexpm; fetexpm.expm(fetexpm.m1()); print('scipy' in sys.modules)"
+    code = ("import sys, numpy, fetexpm; fetexpm.expm(fetexpm.m1()); "
+            "fetexpm.expm(numpy.eye(16) / 4); print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "False"

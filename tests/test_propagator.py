@@ -244,9 +244,11 @@ def test_input_is_converted_once(monkeypatch):
 
 
 def test_singular_block_system_raises():
-    # E=3, m=1: the block system's only entry is 6*pi - 4 * 1.5*pi = 0
-    with pytest.raises(np.linalg.LinAlgError):
-        expm([[4.0]], num_elements=3, num_basis=1)
+    # E=3, m=1: the block system's only entry is 6*pi - 4 * 1.5*pi = 0; at
+    # n = 16 the same entry fills the diagonal of the pencil solve's one shifted block
+    for size in (1, 16):
+        with pytest.raises(np.linalg.LinAlgError):
+            expm(4.0 * np.eye(size), num_elements=3, num_basis=1)
 
 
 def test_overflowing_assembly_is_reported():
@@ -260,8 +262,63 @@ def test_overflowing_assembly_is_reported():
 )
 def test_overflowing_propagation_raises_without_warnings(value, num_elements, where):
     # exp(800) and exp(710.5) exceed the largest double; the state or the
-    # right-hand side overflows part-way through the elements
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=where):
-            expm([[value]], num_elements=num_elements)
+    # right-hand side overflows part-way through the elements, in the dense
+    # solve (n = 1) and in the pencil solve (n = 16) alike
+    for size in (1, 16):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=where):
+                expm(value * np.eye(size), num_elements=num_elements)
+
+
+def spectral_scaled(rng, n, norm):
+    a = random_unit_disk(rng, n)
+    return a * (norm / np.linalg.norm(a, 2))
+
+
+def test_pencil_solve_matches_kronecker_loop():
+    # n >= 16 takes the pencil solve; the dense Kronecker loop is its oracle,
+    # equal in exact arithmetic, so the two agree to rounding
+    rng = np.random.default_rng(1616)
+    for n in (16, 24, 32):
+        a = spectral_scaled(rng, n, 4.0)
+        for m in (1, 2, 5, 8, 16):
+            for num_elements in (1, 3, 8):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                reference = kron_loop_expm(a, num_elements, m)
+                scale = np.max(np.abs(reference))
+                assert max_abs_diff(report.result, reference) <= 1e-13 * scale
+
+
+def test_pencil_solve_matches_scipy_expm():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    # at spectral norm 1/2 one element with 8 functions is already converged
+    rng = np.random.default_rng(3232)
+    for n in (16, 24, 32):
+        a = spectral_scaled(rng, n, 0.5)
+        reference = scipy_linalg.expm(a)
+        scale = np.max(np.abs(reference))
+        for m in (8, 16):
+            for num_elements in (1, 3, 8):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                assert max_abs_diff(report.result, reference) <= 1e-12 * scale
+
+
+def test_solve_switches_to_the_pencil_at_sixteen(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return assemble_system(*args)
+
+    monkeypatch.setattr("fetexpm.propagator.assemble_system", counting)
+    expm(np.eye(15) / 4.0)
+    assert len(calls) == 1
+    expm(np.eye(16) / 4.0)
+    assert len(calls) == 1
+
+
+def test_pencil_overflowing_input_is_reported():
+    # the shifted blocks stay finite; the first right-hand side overflows
+    with pytest.raises(OverflowError):
+        expm(np.full((16, 16), 1e308))
