@@ -17,10 +17,11 @@ and all table entries come out in closed form.  The test suite checks them
 against Gauss-Chebyshev quadrature of pointwise-evaluated basis functions;
 those pointwise evaluators live there, not here.
 
-``pencil_schur`` triangularises the pencil ``(deriv, overlap)`` with two
-unitary matrices, a generalized Schur form built by deflation with numpy
-alone.  It lets the element solve for large matrices run as a
-back-substitution over the basis index (see ``propagator``).
+``BasisTables.pencil`` triangularises the pencil ``(deriv, overlap)`` with
+two unitary matrices, a generalized Schur form built by deflation with numpy
+alone, on first use and then kept with the tables.  It lets the element
+solve for large matrices run as a back-substitution over the basis index
+(see ``propagator``).
 """
 
 import functools
@@ -53,6 +54,27 @@ def _integrated_coeffs(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PencilSchur:
+    """Generalized Schur form of the pencil ``(deriv, overlap)`` of one basis size.
+
+    q, z     -- unitary (m x m) with ``q @ aa @ z^H == deriv`` and
+                ``q @ bb @ z^H == overlap`` up to rounding
+    aa, bb   -- ``q^H deriv z`` and ``q^H overlap z``, exactly upper triangular
+    load     -- ``q^H load``, the load vector in the transformed rows
+    end_vals -- ``z^T end_vals``, the end values in the transformed columns
+
+    Like the tables it depends only on ``m`` and is immutable.
+    """
+
+    q: np.ndarray
+    z: np.ndarray
+    aa: np.ndarray
+    bb: np.ndarray
+    load: np.ndarray
+    end_vals: np.ndarray
+
+
+@dataclass(frozen=True)
 class BasisTables:
     """Weighted projection tables for a basis of ``m`` integrated functions.
 
@@ -69,6 +91,40 @@ class BasisTables:
     overlap: np.ndarray
     load: np.ndarray
     end_vals: np.ndarray
+
+    # built on first use: at m = 1..40 the pencils cost about a hundred times
+    # the tables, and only the solve for large matrices reads them
+    @functools.cached_property
+    def pencil(self) -> PencilSchur:
+        """Generalized Schur form of ``(deriv, overlap)``, built once per tables."""
+        m = self.m
+        aa = self.deriv.astype(np.complex128)
+        bb = self.overlap.astype(np.complex128)
+        q = np.eye(m, dtype=np.complex128)
+        z = np.eye(m, dtype=np.complex128)
+        for k in range(m - 1):
+            d, o = aa[k:, k:], bb[k:, k:]
+            # one eigenvector v of the trailing pencil: overlap v = lambda deriv v,
+            # so v and deriv v span the first columns of the two unitaries and
+            # both trailing blocks turn zero below their first diagonal entry
+            _, vecs = np.linalg.eig(np.linalg.solve(d, o))
+            v = vecs[:, 0]
+            zk, _ = np.linalg.qr(v[:, None], mode="complete")
+            qk, _ = np.linalg.qr((d @ v)[:, None], mode="complete")
+            aa[k:, :] = qk.conj().T @ aa[k:, :]
+            bb[k:, :] = qk.conj().T @ bb[k:, :]
+            aa[:, k:] = aa[:, k:] @ zk
+            bb[:, k:] = bb[:, k:] @ zk
+            q[:, k:] = q[:, k:] @ qk
+            z[:, k:] = z[:, k:] @ zk
+        # the entries below the diagonal are rounding leakage of order 1e-16
+        aa = np.triu(aa)
+        bb = np.triu(bb)
+        load = q.conj().T @ self.load
+        end_vals = z.T @ self.end_vals
+        for arr in (q, z, aa, bb, load, end_vals):
+            arr.setflags(write=False)
+        return PencilSchur(q=q, z=z, aa=aa, bb=bb, load=load, end_vals=end_vals)
 
 
 def build_tables(m: int) -> BasisTables:
@@ -98,65 +154,3 @@ def _cached_tables(m: int) -> BasisTables:
     for arr in (deriv, overlap, load, end_vals):
         arr.setflags(write=False)
     return BasisTables(m=m, deriv=deriv, overlap=overlap, load=load, end_vals=end_vals)
-
-
-@dataclass(frozen=True)
-class PencilSchur:
-    """Generalized Schur form of the pencil ``(deriv, overlap)`` for ``m`` functions.
-
-    q, z     -- unitary (m x m) with ``q @ aa @ z^H == deriv`` and
-                ``q @ bb @ z^H == overlap`` up to rounding
-    aa, bb   -- ``q^H deriv z`` and ``q^H overlap z``, exactly upper triangular
-    load     -- ``q^H load``, the load vector in the transformed rows
-    end_vals -- ``z^T end_vals``, the end values in the transformed columns
-
-    Like the tables it depends only on ``m`` and is immutable.
-    """
-
-    m: int
-    q: np.ndarray
-    z: np.ndarray
-    aa: np.ndarray
-    bb: np.ndarray
-    load: np.ndarray
-    end_vals: np.ndarray
-
-
-def pencil_schur(m: int) -> PencilSchur:
-    """Generalized Schur form of the ``m``-function pencil, built once per ``m``."""
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError("basis count must be >= 1")
-    return _cached_schur(m)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_schur(m: int) -> PencilSchur:
-    tables = _cached_tables(m)
-    aa = tables.deriv.astype(np.complex128)
-    bb = tables.overlap.astype(np.complex128)
-    q = np.eye(m, dtype=np.complex128)
-    z = np.eye(m, dtype=np.complex128)
-    for k in range(m - 1):
-        d, o = aa[k:, k:], bb[k:, k:]
-        # one eigenvector v of the trailing pencil: overlap v = lambda deriv v,
-        # so v and deriv v span the first columns of the two unitaries and
-        # both trailing blocks turn zero below their first diagonal entry
-        _, vecs = np.linalg.eig(np.linalg.solve(d, o))
-        v = vecs[:, 0]
-        zk, _ = np.linalg.qr(v[:, None], mode="complete")
-        qk, _ = np.linalg.qr((d @ v)[:, None], mode="complete")
-        aa[k:, :] = qk.conj().T @ aa[k:, :]
-        bb[k:, :] = qk.conj().T @ bb[k:, :]
-        aa[:, k:] = aa[:, k:] @ zk
-        bb[:, k:] = bb[:, k:] @ zk
-        q[:, k:] = q[:, k:] @ qk
-        z[:, k:] = z[:, k:] @ zk
-    # the entries below the diagonal are rounding leakage of order 1e-16
-    aa = np.triu(aa)
-    bb = np.triu(bb)
-    load = q.conj().T @ tables.load
-    end_vals = z.T @ tables.end_vals
-    for arr in (q, z, aa, bb, load, end_vals):
-        arr.setflags(write=False)
-    return PencilSchur(m=m, q=q, z=z, aa=aa, bb=bb, load=load, end_vals=end_vals)

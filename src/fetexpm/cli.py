@@ -43,27 +43,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _entry_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected I,J (1-based), got {text!r}")
+def _int_pair(text: str, sep: str, form: str):
+    """Two integers joined by ``sep``; ``form`` spells the expected text in the error."""
     try:
-        row, col = int(parts[0]), int(parts[1])
+        first, second = map(int, text.split(sep))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected I,J (1-based), got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return first, second
+
+
+def _entry_pair(text: str):
+    row, col = _int_pair(text, ",", "I,J (1-based)")
     if row < 1 or col < 1:
         raise argparse.ArgumentTypeError("entry indices are 1-based and positive")
     return row, col
 
 
 def _range_pair(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    lo, hi = _int_pair(text, ":", "LO:HI")
     if not 1 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"need 1 <= LO <= HI, got {text!r}")
     return lo, hi

@@ -1,7 +1,8 @@
 """Validation and comparison helpers for dense complex matrices.
 
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128``.
-``as_complex_matrix`` is the boundary check every public entry point uses;
+``as_complex_matrix`` is the boundary check every public entry point uses,
+and the one place that requires a non-empty square matrix;
 ``max_abs_diff`` is the accuracy metric.  Linear solves go straight to
 LAPACK through ``numpy.linalg``.
 """
@@ -10,15 +11,15 @@ import numpy as np
 
 
 def as_complex_matrix(data) -> np.ndarray:
-    """Coerce ``data`` into a fresh 2-D complex128 array.
+    """Coerce ``data`` into a fresh square complex128 array.
 
-    Rejects anything that is not two-dimensional and any non-finite entry
-    (NaN or Inf in either component), so bad values fail loudly at the
+    Rejects anything that is not a non-empty square matrix and any non-finite
+    entry (NaN or Inf in either component), so bad values fail loudly at the
     boundary instead of propagating through the arithmetic.
     """
     a = np.array(data, dtype=np.complex128, order="C")
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got {a.ndim}-D data")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -30,6 +31,4 @@ def max_abs_diff(a, b) -> float:
     b = as_complex_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError(f"operands must be non-empty, got {a.shape}")
     return float(np.max(np.abs(a - b)))

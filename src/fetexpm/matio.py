@@ -128,10 +128,7 @@ def load_matrix(path) -> np.ndarray:
 def format_matrix(a) -> str:
     """Render a matrix as parseable text: header line, then one row per line."""
     a = as_complex_matrix(a)
-    n, n_cols = a.shape
-    if n != n_cols:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    lines = [str(n)]
+    lines = [str(a.shape[0])]
     for row in a:
         lines.append(" ".join(f"({z.real:.17g},{z.imag:.17g})" for z in row))
     return "\n".join(lines) + "\n"

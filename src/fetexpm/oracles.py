@@ -31,9 +31,7 @@ def expm_taylor_squaring(a) -> np.ndarray:
     accuracy bottleneck.  The returned matrix is ordinary complex128.
     """
     a = as_complex_matrix(a)
-    n, n_cols = a.shape
-    if n != n_cols or n == 0:
-        raise ValueError(f"matrix must be square and non-empty, got {a.shape}")
+    n = a.shape[0]
     norm = float(np.max(np.sum(np.abs(a), axis=1)))
     shifts = 0
     while norm > _TAYLOR_NORM_CAP:

@@ -18,17 +18,19 @@ laid out basis-major: composite row index ``mu * n + i`` addresses basis
 function ``mu``, matrix row ``i``, and column ``j`` of ``coeffs`` belongs to
 column ``j`` of ``psi``.  Written with the coefficients as an (m, n) stack
 ``X`` of n x n blocks, this is the generalized Sylvester equation
-``scale * deriv @ X - overlap @ (a X) = load (a psi_prev)``, and ``expm``
-solves it in one of two ways:
+``scale * deriv @ X - overlap @ (a X) = load (a psi_prev)``.
 
-* ``n < 16``, the dense solve: the system matrix depends only on ``a``, the
-  element width ``2 / scale`` and ``m``, so ``expm`` assembles it once, then
-  each element assembles its right-hand side and solves for all ``n``
-  columns with one LAPACK call (``numpy.linalg.solve``) on the whole
-  (n*m) x (n*m) matrix.
+``expm`` runs the one element loop, ``psi = psi + increment(psi)``, and
+picks by ``n`` the solver that builds ``increment``.  The system depends
+only on ``a``, the element width ``2 / scale`` and ``m``, so each solver
+builds its part once and reuses it on every element:
+
+* ``n < 16``, the dense solve: the (n*m) x (n*m) system matrix is assembled
+  once, then each element assembles its right-hand side and solves for all
+  ``n`` columns with one LAPACK call (``numpy.linalg.solve``).
 * ``n >= 16``, the pencil solve: the generalized Schur form
   ``q^H deriv z = aa``, ``q^H overlap z = bb`` of the m x m pencil
-  (``basis.pencil_schur``) makes the system block upper triangular in
+  (``BasisTables.pencil``) makes the system block upper triangular in
   ``Y = z^H X``, so each element back-substitutes from ``k = m - 1`` down to
   0 with one shifted n x n solve
   ``(scale * aa[k, k] I - bb[k, k] a) Y[k] = rhs_k`` per step; the end value
@@ -48,9 +50,9 @@ end value.  A right-hand side or state that overflows to non-finite values
 raises ``OverflowError``; an exactly singular block system (dense) or
 shifted block (pencil) raises ``numpy.linalg.LinAlgError``.
 
-``expm`` is the one place that checks input: it converts ``a`` once and
-checks its shape and the counts.  The assembly kernels take those checked
-arrays as they are and check nothing again.
+``expm`` is the one place that checks input: it converts ``a`` once, which
+checks its shape, and checks the counts.  The solvers and assembly kernels
+take those checked arrays as they are and check nothing again.
 """
 
 import operator
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisTables, PencilSchur, build_tables, pencil_schur
+from .basis import BasisTables, build_tables
 from .dense import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
@@ -141,85 +143,83 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     well-scaled matrices (about 13 significant digits).
     """
     a = as_complex_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n or n == 0:
-        raise ValueError(f"matrix must be square and non-empty, got {a.shape}")
     num_elements = operator.index(num_elements)
     if num_elements < 1:
         raise ValueError("number of elements must be >= 1")
+    tables = build_tables(num_basis)
 
     # equal elements of width 1/E map onto [-1, 1] with scale 2E
     scale = 2.0 * num_elements
-    if n >= PENCIL_MIN_SIZE:
-        schur = pencil_schur(num_basis)
-        psi = _propagate_pencil(a, scale, num_elements, schur)
-        return ExpmReport(result=psi, num_elements=num_elements, num_basis=schur.m)
-    tables = build_tables(num_basis)
-    psi = _propagate_dense(a, scale, num_elements, tables)
+    solver = _pencil_solver if a.shape[0] >= PENCIL_MIN_SIZE else _dense_solver
+    increment = solver(a, scale, tables)
+    psi = np.eye(a.shape[0], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(num_elements):
+            psi = psi + increment(psi)
+            if not np.isfinite(psi).all():
+                raise OverflowError("solution overflowed to non-finite values")
     return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
 
 
-def _propagate_dense(a: np.ndarray, scale: float, num_elements: int,
-                     tables: BasisTables) -> np.ndarray:
-    """The state after all elements, one dense block solve per element."""
+def _dense_solver(a: np.ndarray, scale: float, tables: BasisTables):
+    """The dense solve: a function from an element's start state to its increment.
+
+    One system matrix serves all elements, since ``a`` is constant; each
+    element solves it for all ``n`` columns with one LAPACK call.
+    """
     n = a.shape[0]
-    # with a constant matrix one system matrix serves all elements
     system = assemble_system(a, scale, tables)
-    psi = np.eye(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(num_elements):
-            rhs = assemble_rhs(a, psi, tables.load)
-            if not np.isfinite(rhs).all():
-                raise OverflowError("right-hand side overflowed to non-finite values")
-            coeffs = np.linalg.solve(system, rhs)
-            # coefficients regrouped as (column, basis, row): one contiguous
-            # (m, n) block per column, evaluated at local time +1
-            per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
-            psi = psi + (tables.end_vals @ per_col).T
-            if not np.isfinite(psi).all():
-                raise OverflowError("solution overflowed to non-finite values")
-    return psi
+
+    def increment(psi: np.ndarray) -> np.ndarray:
+        rhs = assemble_rhs(a, psi, tables.load)
+        if not np.isfinite(rhs).all():
+            raise OverflowError("right-hand side overflowed to non-finite values")
+        coeffs = np.linalg.solve(system, rhs)
+        # coefficients regrouped as (column, basis, row): one contiguous
+        # (m, n) block per column, evaluated at local time +1
+        per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
+        return (tables.end_vals @ per_col).T
+
+    return increment
 
 
-def _propagate_pencil(a: np.ndarray, scale: float, num_elements: int,
-                      schur: PencilSchur) -> np.ndarray:
-    """The state after all elements, m shifted n x n solves per element.
+def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
+    """The pencil solve: a function from an element's start state to its increment.
 
     Step ``k`` solves ``(scale aa[k, k] I - bb[k, k] a) Y[k] = load'[k] a psi
     - sum over j > k of (scale aa[k, j] Y[j] - bb[k, j] a Y[j])`` with the
-    transformed ``load' = q^H load``; the element adds ``(z^T end_vals) @ Y``.
+    transformed ``load' = q^H load``; the increment is ``(z^T end_vals) @ Y``.
     """
     n = a.shape[0]
-    m = schur.m
-    saa = scale * schur.aa
-    bb = schur.bb
+    m = tables.m
+    pencil = tables.pencil
+    saa = scale * pencil.aa
+    bb = pencil.bb
     with np.errstate(over="ignore", invalid="ignore"):
         # the diagonal blocks of the triangularised system, one per basis step
         shifted = (np.diagonal(saa)[:, None, None] * np.eye(n)
                    - np.diagonal(bb)[:, None, None] * a)
     if not np.isfinite(shifted).all():
         raise OverflowError("block system overflowed to non-finite values")
-    psi = np.eye(n, dtype=np.complex128)
     y = np.empty((m, n, n), dtype=np.complex128)
     ay = np.empty_like(y)
     # (m, n*n) views, so each coupling sum over later steps is one product
     y_rows = y.reshape(m, n * n)
     ay_rows = ay.reshape(m, n * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(num_elements):
-            # the right-hand side in the transformed rows, one n x n block per step
-            rhs = schur.load[:, None, None] * (a @ psi)
-            if not np.isfinite(rhs).all():
-                raise OverflowError("right-hand side overflowed to non-finite values")
-            for k in range(m - 1, -1, -1):
-                # move the couplings to the steps already solved to the right
-                step_rhs = (rhs[k]
-                            - (saa[k, k + 1:] @ y_rows[k + 1:]).reshape(n, n)
-                            + (bb[k, k + 1:] @ ay_rows[k + 1:]).reshape(n, n))
-                y[k] = np.linalg.solve(shifted[k], step_rhs)
-                if k:  # no step below 0 reads a @ Y[0]
-                    ay[k] = a @ y[k]
-            psi = psi + (schur.end_vals @ y_rows).reshape(n, n)
-            if not np.isfinite(psi).all():
-                raise OverflowError("solution overflowed to non-finite values")
-    return psi
+
+    def increment(psi: np.ndarray) -> np.ndarray:
+        # the right-hand side in the transformed rows, one n x n block per step
+        rhs = pencil.load[:, None, None] * (a @ psi)
+        if not np.isfinite(rhs).all():
+            raise OverflowError("right-hand side overflowed to non-finite values")
+        for k in range(m - 1, -1, -1):
+            # move the couplings to the steps already solved to the right
+            step_rhs = (rhs[k]
+                        - (saa[k, k + 1:] @ y_rows[k + 1:]).reshape(n, n)
+                        + (bb[k, k + 1:] @ ay_rows[k + 1:]).reshape(n, n))
+            y[k] = np.linalg.solve(shifted[k], step_rhs)
+            if k:  # no step below 0 reads a @ Y[0]
+                ay[k] = a @ y[k]
+        return (pencil.end_vals @ y_rows).reshape(n, n)
+
+    return increment

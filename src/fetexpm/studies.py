@@ -1,6 +1,7 @@
 """Accuracy studies: minimum-basis searches and single-parameter sweeps."""
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .dense import max_abs_diff
@@ -35,6 +36,9 @@ def min_basis_for_tolerance(
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    max_basis = operator.index(max_basis)
+    if max_basis < 1:
+        raise ValueError(f"max_basis must be >= 1, got {max_basis}")
     for m in range(1, max_basis + 1):
         report = expm(a, num_elements=num_elements, num_basis=m)
         if max_abs_diff(report.result, reference) <= tolerance:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chebyshev_oracle import chebyshev_t, integrated_chebyshev
-from fetexpm.basis import build_tables, pencil_schur
+from fetexpm.basis import build_tables
 
 
 def quadrature_tables(m, num_nodes=64):
@@ -127,8 +127,9 @@ def test_end_values():
 
 
 def test_tables_reject_bad_size():
-    with pytest.raises(ValueError):
-        build_tables(0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            build_tables(bad)
 
 
 def test_tables_are_cached_per_checked_count():
@@ -145,10 +146,9 @@ def test_tables_are_cached_per_checked_count():
 
 def test_pencil_schur_triangularises_the_tables():
     for m in range(1, 41):
-        schur = pencil_schur(m)
         tables = build_tables(m)
+        schur = tables.pencil
         eye = np.eye(m)
-        assert schur.m == m
         assert (np.tril(schur.aa, -1) == 0.0).all()
         assert (np.tril(schur.bb, -1) == 0.0).all()
         for u in (schur.q, schur.z):
@@ -164,13 +164,12 @@ def test_pencil_schur_triangularises_the_tables():
 
 
 def test_pencil_schur_is_cached_and_read_only():
-    schur = pencil_schur(8)
-    assert pencil_schur(np.int64(8)) is schur
-    with pytest.raises(TypeError):
-        pencil_schur(8.0)
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            pencil_schur(bad)
+    # the pencil lives on the cached tables, so the count check in
+    # build_tables is the only one it needs
+    tables = build_tables(8)
+    schur = tables.pencil
+    assert tables.pencil is schur
+    assert build_tables(np.int64(8)).pencil is schur
     for arr in (schur.q, schur.z, schur.aa, schur.bb, schur.load, schur.end_vals):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -113,6 +113,10 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "m2", "--entry", "1"])
     assert err.value.code == 1
+    for bad_range in ("5", "9:5", "a:b"):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "m2", "--range", bad_range])
+        assert err.value.code == 1
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 1

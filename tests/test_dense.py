@@ -13,6 +13,9 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         as_complex_matrix([[complex(0.0, np.inf)]])
+    for shape in ((2, 3), (3, 2), (0, 0), (0, 3), (1, 0)):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            as_complex_matrix(np.zeros(shape))
 
 
 def test_max_abs_diff_basics():

@@ -103,3 +103,9 @@ def test_load_matrix_roundtrip(tmp_path):
 def test_format_rejects_non_square():
     with pytest.raises(ValueError):
         format_matrix(np.ones((2, 3)))
+
+
+def test_format_rejects_empty_matrix():
+    # "0" would be a header that parse_matrix refuses
+    with pytest.raises(ValueError, match="non-empty"):
+        format_matrix(np.zeros((0, 0)))

@@ -229,6 +229,14 @@ def test_rejects_bad_arguments():
     with pytest.raises(TypeError):
         expm(m1(), 8, 8.0)
     assert expm(m1(), np.int64(2), np.int32(3)).num_basis == 3
+    # one count check serves both solves: the same errors at n = 16
+    for counts in ((8.0, 8), (8, 8.0)):
+        with pytest.raises(TypeError):
+            expm(np.eye(16), *counts)
+    for bad in (0, -1):
+        for counts in ((bad, 8), (8, bad)):
+            with pytest.raises(ValueError):
+                expm(np.eye(16), *counts)
 
 
 def test_input_is_converted_once(monkeypatch):
@@ -316,6 +324,17 @@ def test_solve_switches_to_the_pencil_at_sixteen(monkeypatch):
     assert len(calls) == 1
     expm(np.eye(16) / 4.0)
     assert len(calls) == 1
+
+
+def test_pencil_is_built_only_for_the_pencil_solve():
+    m = 43  # a basis count no other test reaches, so its tables start bare
+    tables = build_tables(m)
+    expm(np.eye(15) / 4.0, 1, m)
+    assert "pencil" not in vars(tables)
+    expm(np.eye(16) / 4.0, 1, m)
+    pencil = vars(tables)["pencil"]
+    expm(np.eye(16) / 2.0, 1, m)
+    assert build_tables(m).pencil is pencil
 
 
 def test_pencil_overflowing_input_is_reported():

@@ -26,6 +26,19 @@ def test_min_basis_rejects_meaningless_tolerance():
             min_basis_for_tolerance(m2(), exact_m2(), num_elements=4, tolerance=tolerance)
 
 
+def test_min_basis_rejects_bad_max_basis():
+    # a scan over no basis counts would read as "unreachable" on every row
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            min_basis_for_tolerance(m2(), exact_m2(), num_elements=4, max_basis=bad)
+        with pytest.raises(ValueError):
+            table1("m1", max_basis=bad)
+    with pytest.raises(TypeError):
+        min_basis_for_tolerance(m2(), exact_m2(), num_elements=4, max_basis=8.5)
+    with pytest.raises(TypeError):
+        table1("m2", max_basis=8.5)
+
+
 def test_table1_shape_and_row_order():
     rows = table1("m2", max_basis=12)
     assert [steps for steps, _ in rows] == [1, 2, 4, 8, 15, 40]
