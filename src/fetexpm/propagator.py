@@ -32,23 +32,25 @@ builds its part once and reuses it on every element:
   ``q^H deriv z = aa``, ``q^H overlap z = bb`` of the m x m pencil
   (``BasisTables.pencil``) makes the system block upper triangular in
   ``Y = z^H X``, so each element back-substitutes from ``k = m - 1`` down to
-  0 with one shifted n x n solve
-  ``(scale * aa[k, k] I - bb[k, k] a) Y[k] = rhs_k`` per step; the end value
-  is ``(z^T end_vals) @ Y``.  That is O(m n^3) per element instead of
-  O((n m)^3).
+  0 through the shifted n x n blocks
+  ``(scale * aa[k, k] I - bb[k, k] a) Y[k] = rhs_k``; the end value is
+  ``(z^T end_vals) @ Y``.  The m shifted blocks are inverted once per call,
+  so each step is one matrix product.  That is O(m n^3) per element instead
+  of O((n m)^3).
 
 Measured with one BLAS thread and E=8 on random complex matrices, the pencil
-solve overtakes the dense one near n=10 at m=8 and between n=4 and n=8 at
-m=16.  At n=4 the dense solve is 3 (m=8) and 2.6 (m=16) times faster; at
-n=16 the pencil solve is 1.8 and 4 times faster, at n=64 5.5 and 13 times.
+solve overtakes the dense one near n=6 at m=8 and between n=4 and n=5 at
+m=16.  At n=4 the dense solve is 1.6 (m=8) and 1.2 (m=16) times faster; at
+n=16 the pencil solve is 3.9 and 9 times faster, at n=64 11 and 25 times.
 The switch sits at 16, above the crossover, so that every matrix smaller
 than that keeps the dense solve's results bit for bit, including minimum
 basis counts that rounding decides.  The two solves agree to rounding.
 
 Elements are inherently sequential, each consuming the previous element's
-end value.  A right-hand side or state that overflows to non-finite values
-raises ``OverflowError``; an exactly singular block system (dense) or
-shifted block (pencil) raises ``numpy.linalg.LinAlgError``.
+end value.  A right-hand side, state or shifted-block inverse that
+overflows to non-finite values raises ``OverflowError``; an exactly
+singular block system (dense) or shifted block (pencil) raises
+``numpy.linalg.LinAlgError``.
 
 ``expm`` is the one place that checks input: it converts ``a`` once, which
 checks its shape, and checks the counts.  The solvers and assembly kernels
@@ -132,12 +134,15 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     TypeError
         If a count is not an integer.
     OverflowError
-        If the block system, a right-hand side or the state overflows.
+        If the block system, a right-hand side or the state overflows, or,
+        for n >= 16, the inverse of a shifted diagonal block does.
     numpy.linalg.LinAlgError
         If the block system (or, for n >= 16, one of its shifted diagonal
         blocks) is exactly singular, which happens when the element width
         times an eigenvalue of ``a`` hits a pole of the element map (for
-        example ``expm([[4.0]], 3, 1)``).
+        example ``expm([[4.0]], 3, 1)``).  The shifted blocks are inverted
+        once per call, before the first element, so this is raised before
+        any element is propagated.
 
     The defaults reproduce the method's reference accuracy on
     well-scaled matrices (about 13 significant digits).
@@ -189,6 +194,8 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
     Step ``k`` solves ``(scale aa[k, k] I - bb[k, k] a) Y[k] = load'[k] a psi
     - sum over j > k of (scale aa[k, j] Y[j] - bb[k, j] a Y[j])`` with the
     transformed ``load' = q^H load``; the increment is ``(z^T end_vals) @ Y``.
+    The shifted blocks are the same on every element, so they are inverted
+    once, and each step is one product that gives both ``Y[k]`` and ``a Y[k]``.
     """
     n = a.shape[0]
     m = tables.m
@@ -199,13 +206,28 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
         # the diagonal blocks of the triangularised system, one per basis step
         shifted = (np.diagonal(saa)[:, None, None] * np.eye(n)
                    - np.diagonal(bb)[:, None, None] * a)
+        # the first element's right-hand side, since a @ I is a exactly:
+        # an input whose first right-hand side overflows is reported as
+        # such even when a shifted block is singular to working precision
+        first_rhs = pencil.load[:, None, None] * a
     if not np.isfinite(shifted).all():
         raise OverflowError("block system overflowed to non-finite values")
-    y = np.empty((m, n, n), dtype=np.complex128)
-    ay = np.empty_like(y)
-    # (m, n*n) views, so each coupling sum over later steps is one product
-    y_rows = y.reshape(m, n * n)
-    ay_rows = ay.reshape(m, n * n)
+    if not np.isfinite(first_rhs).all():
+        raise OverflowError("right-hand side overflowed to non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = np.linalg.inv(shifted)
+        # (m, 2n, n): [inverse[k]; a @ inverse[k]] maps a step's right-hand
+        # side to [Y[k]; a Y[k]] in one product
+        maps = np.concatenate((inverse, a @ inverse), axis=1)
+    if not np.isfinite(maps).all():
+        raise OverflowError("inverse of a shifted block overflowed to non-finite values")
+    # each step's coupling to the steps already solved to the right, with
+    # Y[j] and a Y[j] interleaved as in the rows of ``solved`` below
+    coupling = np.stack((-saa, bb), axis=2).reshape(m, 2 * m)
+    solved = np.empty((m, 2, n, n), dtype=np.complex128)
+    # (2m, n*n) view, so each coupling sum over later steps is one product
+    solved_rows = solved.reshape(2 * m, n * n)
+    y_rows = solved_rows[0::2]
 
     def increment(psi: np.ndarray) -> np.ndarray:
         # the right-hand side in the transformed rows, one n x n block per step
@@ -213,13 +235,9 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
         if not np.isfinite(rhs).all():
             raise OverflowError("right-hand side overflowed to non-finite values")
         for k in range(m - 1, -1, -1):
-            # move the couplings to the steps already solved to the right
-            step_rhs = (rhs[k]
-                        - (saa[k, k + 1:] @ y_rows[k + 1:]).reshape(n, n)
-                        + (bb[k, k + 1:] @ ay_rows[k + 1:]).reshape(n, n))
-            y[k] = np.linalg.solve(shifted[k], step_rhs)
-            if k:  # no step below 0 reads a @ Y[0]
-                ay[k] = a @ y[k]
+            later = 2 * (k + 1)
+            step_rhs = rhs[k] + (coupling[k, later:] @ solved_rows[later:]).reshape(n, n)
+            solved[k] = (maps[k] @ step_rhs).reshape(2, n, n)
         return (pencil.end_vals @ y_rows).reshape(n, n)
 
     return increment

@@ -71,6 +71,7 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
     """
     if vary not in ("elements", "basis"):
         raise ValueError("vary must be 'elements' or 'basis'")
+    lo, hi, fixed = operator.index(lo), operator.index(hi), operator.index(fixed)
     if not 1 <= lo <= hi:
         raise ValueError("range must satisfy 1 <= lo <= hi")
     if fixed < 1:

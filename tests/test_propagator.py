@@ -265,18 +265,25 @@ def test_overflowing_assembly_is_reported():
 
 
 @pytest.mark.parametrize(
-    ("value", "num_elements", "where"),
-    [(800.0, 128, "solution"), (710.5, 256, "right-hand side")],
+    ("value", "pencil_value", "num_elements", "where"),
+    [
+        # each case is named by its dense-solve (n = 1) input
+        pytest.param(800.0, 750.0, 128, "solution", id="800.0-128-solution"),
+        pytest.param(710.5, 710.5, 256, "right-hand side", id="710.5-256-right-hand side"),
+    ],
 )
-def test_overflowing_propagation_raises_without_warnings(value, num_elements, where):
-    # exp(800) and exp(710.5) exceed the largest double; the state or the
-    # right-hand side overflows part-way through the elements, in the dense
-    # solve (n = 1) and in the pencil solve (n = 16) alike
-    for size in (1, 16):
+def test_overflowing_propagation_raises_without_warnings(value, pencil_value, num_elements, where):
+    # exp(750) and up exceed the largest double; the state or the right-hand
+    # side overflows part-way through the elements, in the dense solve
+    # (n = 1) and in the pencil solve (n = 16) alike.  Rounding decides which
+    # of the two overflows first: at 800 the pencil solve's state is still
+    # finite (2.9e305) when its next right-hand side overflows, so its
+    # "solution" case runs at 750
+    for size, entry in ((1, value), (16, pencil_value)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=where):
-                expm(value * np.eye(size), num_elements=num_elements)
+                expm(entry * np.eye(size), num_elements=num_elements)
 
 
 def spectral_scaled(rng, n, norm):
@@ -341,3 +348,45 @@ def test_pencil_overflowing_input_is_reported():
     # the shifted blocks stay finite; the first right-hand side overflows
     with pytest.raises(OverflowError):
         expm(np.full((16, 16), 1e308))
+
+
+def test_pencil_solve_factors_once_per_call(monkeypatch):
+    # the shifted blocks are the same on every element, so the number of
+    # factorizations does not grow with the element count
+    a = spectral_scaled(np.random.default_rng(17), 16, 1.0)
+    expm(a, 1)  # builds the pencil of the default basis count
+    calls = []
+    for name in ("solve", "inv"):
+        def counting(*args, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    counts = []
+    for num_elements in (1, 8):
+        calls.clear()
+        expm(a, num_elements)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("num_elements", [8, 16, 58])
+def test_pencil_solve_keeps_the_stiff_block_accurate(num_elements):
+    # m1 is Moler and Van Loan's stiff example (eigenvalues -1 and -25);
+    # eight copies of it on the diagonal take the pencil solve, which must
+    # keep the dense solve's accuracy on it
+    a = np.kron(np.eye(8), m1())
+    exact = np.kron(np.eye(8), exact_m1())
+    for m in (8, 12, 16):
+        result = expm(a, num_elements, m).result
+        assert max_abs_diff(result, exact) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_pencil_overflowing_inverse_is_reported(monkeypatch):
+    # no finite input is known whose shifted blocks stay finite while their
+    # inverses overflow, so the inversion is made to overflow
+    monkeypatch.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="inverse"):
+            expm(np.eye(16) / 4.0)

@@ -7,6 +7,7 @@ from fetexpm import (
     m3,
     m4,
     min_basis_for_tolerance,
+    studies,
     sweep,
     table1,
 )
@@ -89,3 +90,25 @@ def test_sweep_rejects_bad_arguments():
         sweep(m2(), entry=(2, 0))
     with pytest.raises(ValueError):
         sweep(m2(), entry=(0, 0), fixed=0)
+
+
+def test_sweep_reads_counts_as_integers_before_the_reference(monkeypatch):
+    references = []
+    real = studies.expm_taylor_squaring
+
+    def counting(a):
+        references.append(1)
+        return real(a)
+
+    monkeypatch.setattr(studies, "expm_taylor_squaring", counting)
+    # a count that is not an integer fails before the reference is paid for
+    for bad in ({"lo": 5.0, "hi": 6}, {"lo": 5, "hi": 6.0}, {"fixed": 8.5}):
+        with pytest.raises(TypeError):
+            sweep(m2(), entry=(0, 0), **bad)
+    assert references == []
+    # integer-like counts arrive in the rows as plain ints
+    for fixed in (np.int64(8), True):
+        rows = sweep(m2(), entry=(0, 0), vary="basis", fixed=fixed, lo=np.int32(5), hi=6)
+        for row in rows:
+            assert type(row.num_elements) is int and type(row.num_basis) is int
+        assert [(r.num_elements, r.num_basis) for r in rows] == [(int(fixed), 5), (int(fixed), 6)]
