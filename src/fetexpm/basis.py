@@ -17,11 +17,10 @@ and all table entries come out in closed form.  The test suite checks them
 against Gauss-Chebyshev quadrature of pointwise-evaluated basis functions;
 those pointwise evaluators live there, not here.
 
-``BasisTables.pencil`` triangularises the pencil ``(deriv, overlap)`` with
-two unitary matrices, a generalized Schur form built by deflation with numpy
-alone, on first use and then kept with the tables.  It lets the element
-solve for large matrices run as a back-substitution over the basis index
-(see ``propagator``).
+``BasisTables.pencil`` triangularises ``deriv^-1 overlap`` with one unitary
+matrix, a Schur form built by deflation with numpy alone, on first use and
+then kept with the tables.  It lets the element solve for large matrices run
+as a back-substitution over the basis index (see ``propagator``).
 """
 
 import functools
@@ -55,21 +54,19 @@ def _integrated_coeffs(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilSchur:
-    """Generalized Schur form of the pencil ``(deriv, overlap)`` of one basis size.
+    """Schur form of ``T = deriv^-1 overlap``, the pencil ``(deriv, overlap)`` of one basis size.
 
-    q, z     -- unitary (m x m) with ``q @ aa @ z^H == deriv`` and
-                ``q @ bb @ z^H == overlap`` up to rounding
-    aa, bb   -- ``q^H deriv z`` and ``q^H overlap z``, exactly upper triangular
-    load     -- ``q^H load``, the load vector in the transformed rows
-    end_vals -- ``z^T end_vals``, the end values in the transformed columns
+    u        -- unitary (m x m) with ``u @ r @ u^H == T`` up to rounding
+    r        -- ``u^H T u``, exactly upper triangular
+    load     -- ``u^H deriv^-1 load == conj(u[0, :])``, since ``load`` is the
+                first column of ``deriv``
+    end_vals -- ``u^T end_vals``, the end values in the transformed basis
 
     Like the tables it depends only on ``m`` and is immutable.
     """
 
-    q: np.ndarray
-    z: np.ndarray
-    aa: np.ndarray
-    bb: np.ndarray
+    u: np.ndarray
+    r: np.ndarray
     load: np.ndarray
     end_vals: np.ndarray
 
@@ -96,35 +93,25 @@ class BasisTables:
     # the tables, and only the solve for large matrices reads them
     @functools.cached_property
     def pencil(self) -> PencilSchur:
-        """Generalized Schur form of ``(deriv, overlap)``, built once per tables."""
+        """Schur form of ``deriv^-1 overlap``, built once per tables."""
         m = self.m
-        aa = self.deriv.astype(np.complex128)
-        bb = self.overlap.astype(np.complex128)
-        q = np.eye(m, dtype=np.complex128)
-        z = np.eye(m, dtype=np.complex128)
+        r = np.linalg.solve(self.deriv, self.overlap).astype(np.complex128)
+        u = np.eye(m, dtype=np.complex128)
         for k in range(m - 1):
-            d, o = aa[k:, k:], bb[k:, k:]
-            # one eigenvector v of the trailing pencil: overlap v = lambda deriv v,
-            # so v and deriv v span the first columns of the two unitaries and
-            # both trailing blocks turn zero below their first diagonal entry
-            _, vecs = np.linalg.eig(np.linalg.solve(d, o))
-            v = vecs[:, 0]
-            zk, _ = np.linalg.qr(v[:, None], mode="complete")
-            qk, _ = np.linalg.qr((d @ v)[:, None], mode="complete")
-            aa[k:, :] = qk.conj().T @ aa[k:, :]
-            bb[k:, :] = qk.conj().T @ bb[k:, :]
-            aa[:, k:] = aa[:, k:] @ zk
-            bb[:, k:] = bb[:, k:] @ zk
-            q[:, k:] = q[:, k:] @ qk
-            z[:, k:] = z[:, k:] @ zk
+            # one eigenvector of the trailing block, completed to a unitary,
+            # turns that block zero below its first diagonal entry
+            _, vecs = np.linalg.eig(r[k:, k:])
+            uk, _ = np.linalg.qr(vecs[:, :1], mode="complete")
+            r[k:, :] = uk.conj().T @ r[k:, :]
+            r[:, k:] = r[:, k:] @ uk
+            u[:, k:] = u[:, k:] @ uk
         # the entries below the diagonal are rounding leakage of order 1e-16
-        aa = np.triu(aa)
-        bb = np.triu(bb)
-        load = q.conj().T @ self.load
-        end_vals = z.T @ self.end_vals
-        for arr in (q, z, aa, bb, load, end_vals):
+        r = np.triu(r)
+        load = u[0].conj()
+        end_vals = u.T @ self.end_vals
+        for arr in (u, r, load, end_vals):
             arr.setflags(write=False)
-        return PencilSchur(q=q, z=z, aa=aa, bb=bb, load=load, end_vals=end_vals)
+        return PencilSchur(u=u, r=r, load=load, end_vals=end_vals)
 
 
 def build_tables(m: int) -> BasisTables:

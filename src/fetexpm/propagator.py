@@ -28,29 +28,33 @@ builds its part once and reuses it on every element:
 * ``n < 16``, the dense solve: the (n*m) x (n*m) system matrix is assembled
   once, then each element assembles its right-hand side and solves for all
   ``n`` columns with one LAPACK call (``numpy.linalg.solve``).
-* ``n >= 16``, the pencil solve: the generalized Schur form
-  ``q^H deriv z = aa``, ``q^H overlap z = bb`` of the m x m pencil
+* ``n >= 16``, the pencil solve: ``load`` is the first column of ``deriv``,
+  so multiplying by ``deriv^-1`` gives ``scale * X - T (a X) = e_0 (a psi_prev)``
+  with ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H``
   (``BasisTables.pencil``) makes the system block upper triangular in
-  ``Y = z^H X``, so each element back-substitutes from ``k = m - 1`` down to
-  0 through the shifted n x n blocks
-  ``(scale * aa[k, k] I - bb[k, k] a) Y[k] = rhs_k``; the end value is
-  ``(z^T end_vals) @ Y``.  The m shifted blocks are inverted once per call,
-  so each step is one matrix product.  That is O(m n^3) per element instead
-  of O((n m)^3).
+  ``Y = u^H X`` (Bartels and Stewart, 1972), so each element
+  back-substitutes from ``k = m - 1`` down to 0 through the shifted n x n
+  blocks ``(scale I - r[k, k] a) Y[k] = a u_k``, where ``u_k`` combines
+  ``psi_prev`` and the ``Y[j]`` already solved; the end value is
+  ``(u^T end_vals) @ Y``.  The m shifted blocks are inverted once per call,
+  so each step is two matrix products.  That is O(m n^3) per element
+  instead of O((n m)^3).
 
 Measured with one BLAS thread and E=8 on random complex matrices, the pencil
 solve overtakes the dense one near n=6 at m=8 and between n=4 and n=5 at
-m=16.  At n=4 the dense solve is 1.6 (m=8) and 1.2 (m=16) times faster; at
-n=16 the pencil solve is 3.9 and 9 times faster, at n=64 11 and 25 times.
+m=16.  At n=4 the dense solve is 1.4 (m=8) and 1.2 (m=16) times faster; at
+n=16 the pencil solve is 4.6 and 10 times faster, at n=64 14 and 39 times.
 The switch sits at 16, above the crossover, so that every matrix smaller
 than that keeps the dense solve's results bit for bit, including minimum
 basis counts that rounding decides.  The two solves agree to rounding.
 
 Elements are inherently sequential, each consuming the previous element's
 end value.  A right-hand side, state or shifted-block inverse that
-overflows to non-finite values raises ``OverflowError``; an exactly
-singular block system (dense) or shifted block (pencil) raises
-``numpy.linalg.LinAlgError``.
+overflows to non-finite values raises ``OverflowError``; the pencil solve
+checks the first element's right-hand side ``load (a psi_prev)`` before it
+inverts, and on every element the right-hand side of its first step,
+``load'[m - 1] a psi_prev``.  An exactly singular block system (dense) or
+shifted block (pencil) raises ``numpy.linalg.LinAlgError``.
 
 ``expm`` is the one place that checks input: it converts ``a`` once, which
 checks its shape, and checks the counts.  The solvers and assembly kernels
@@ -135,14 +139,18 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
         If a count is not an integer.
     OverflowError
         If the block system, a right-hand side or the state overflows, or,
-        for n >= 16, the inverse of a shifted diagonal block does.
+        for n >= 16, a shifted diagonal block or its inverse does.  For
+        n >= 16 the first element's right-hand side ``load (a I)`` is
+        checked before the blocks are inverted, so an input that overflows
+        it raises this even when a block is singular to working precision.
     numpy.linalg.LinAlgError
-        If the block system (or, for n >= 16, one of its shifted diagonal
-        blocks) is exactly singular, which happens when the element width
-        times an eigenvalue of ``a`` hits a pole of the element map (for
-        example ``expm([[4.0]], 3, 1)``).  The shifted blocks are inverted
-        once per call, before the first element, so this is raised before
-        any element is propagated.
+        If the block system (or, for n >= 16, one of the shifted diagonal
+        blocks ``scale I - r[k, k] a`` of its Schur form) is exactly
+        singular, which happens when the element width times an eigenvalue
+        of ``a`` hits a pole of the element map (for example
+        ``expm([[4.0]], 3, 1)``).  The shifted blocks are inverted once per
+        call, before the first element, so this is raised before any
+        element is propagated.
 
     The defaults reproduce the method's reference accuracy on
     well-scaled matrices (about 13 significant digits).
@@ -191,53 +199,52 @@ def _dense_solver(a: np.ndarray, scale: float, tables: BasisTables):
 def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
     """The pencil solve: a function from an element's start state to its increment.
 
-    Step ``k`` solves ``(scale aa[k, k] I - bb[k, k] a) Y[k] = load'[k] a psi
-    - sum over j > k of (scale aa[k, j] Y[j] - bb[k, j] a Y[j])`` with the
-    transformed ``load' = q^H load``; the increment is ``(z^T end_vals) @ Y``.
-    The shifted blocks are the same on every element, so they are inverted
-    once, and each step is one product that gives both ``Y[k]`` and ``a Y[k]``.
+    Step ``k`` solves ``(scale I - r[k, k] a) Y[k] = a u_k`` with
+    ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]`` and the
+    transformed ``load' = conj(u[0, :])``; the increment is
+    ``(u^T end_vals) @ Y``.  The shifted blocks are the same on every
+    element, so they are inverted once, and each step is two products.
     """
     n = a.shape[0]
     m = tables.m
     pencil = tables.pencil
-    saa = scale * pencil.aa
-    bb = pencil.bb
+    diag = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # the diagonal blocks of the triangularised system, one per basis step
-        shifted = (np.diagonal(saa)[:, None, None] * np.eye(n)
-                   - np.diagonal(bb)[:, None, None] * a)
+        shifted = np.multiply.outer(-np.diagonal(pencil.r), a)
+        shifted[:, diag, diag] += scale
         # the first element's right-hand side, since a @ I is a exactly:
         # an input whose first right-hand side overflows is reported as
         # such even when a shifted block is singular to working precision
-        first_rhs = pencil.load[:, None, None] * a
+        first_rhs = np.multiply.outer(tables.load, a)
     if not np.isfinite(shifted).all():
         raise OverflowError("block system overflowed to non-finite values")
     if not np.isfinite(first_rhs).all():
         raise OverflowError("right-hand side overflowed to non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = np.linalg.inv(shifted)
-        # (m, 2n, n): [inverse[k]; a @ inverse[k]] maps a step's right-hand
-        # side to [Y[k]; a Y[k]] in one product
-        maps = np.concatenate((inverse, a @ inverse), axis=1)
-    if not np.isfinite(maps).all():
+    if not np.isfinite(inverse).all():
         raise OverflowError("inverse of a shifted block overflowed to non-finite values")
-    # each step's coupling to the steps already solved to the right, with
-    # Y[j] and a Y[j] interleaved as in the rows of ``solved`` below
-    coupling = np.stack((-saa, bb), axis=2).reshape(m, 2 * m)
-    solved = np.empty((m, 2, n, n), dtype=np.complex128)
-    # (2m, n*n) view, so each coupling sum over later steps is one product
-    solved_rows = solved.reshape(2 * m, n * n)
-    y_rows = solved_rows[0::2]
+    # row k couples step k to the steps solved after it and to psi, the
+    # last of the stacked rows [Y[0] ... Y[m - 1], psi] below
+    coupling = np.concatenate((pencil.r, pencil.load[:, None]), axis=1)
+    stacked = np.empty((m + 1, n, n), dtype=np.complex128)
+    stacked_rows = stacked.reshape(m + 1, n * n)
+    u_rows = np.empty(n * n, dtype=np.complex128)
+    u_k = u_rows.reshape(n, n)
+    rhs = np.empty((n, n), dtype=np.complex128)
 
     def increment(psi: np.ndarray) -> np.ndarray:
-        # the right-hand side in the transformed rows, one n x n block per step
-        rhs = pencil.load[:, None, None] * (a @ psi)
-        if not np.isfinite(rhs).all():
-            raise OverflowError("right-hand side overflowed to non-finite values")
+        stacked[m] = psi
         for k in range(m - 1, -1, -1):
-            later = 2 * (k + 1)
-            step_rhs = rhs[k] + (coupling[k, later:] @ solved_rows[later:]).reshape(n, n)
-            solved[k] = (maps[k] @ step_rhs).reshape(2, n, n)
-        return (pencil.end_vals @ y_rows).reshape(n, n)
+            np.matmul(coupling[k, k + 1:], stacked_rows[k + 1:], out=u_rows)
+            np.matmul(a, u_k, out=rhs)
+            # the first step's right-hand side is load'[m - 1] a psi, the
+            # element's own right-hand side in the transformed rows; an
+            # overflow in a later step shows in the state
+            if k == m - 1 and not np.isfinite(rhs).all():
+                raise OverflowError("right-hand side overflowed to non-finite values")
+            np.matmul(inverse[k], rhs, out=stacked[k])
+        return (pencil.end_vals @ stacked_rows[:m]).reshape(n, n)
 
     return increment

@@ -76,9 +76,9 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
         raise ValueError("range must satisfy 1 <= lo <= hi")
     if fixed < 1:
         raise ValueError("fixed parameter must be >= 1")
+    row, col = map(operator.index, entry)
     reference = expm_taylor_squaring(a)
     n = reference.shape[0]
-    row, col = entry
     if not (0 <= row < n and 0 <= col < n):
         raise ValueError(f"entry {entry} out of range for size {n}")
     rows = []

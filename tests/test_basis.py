@@ -149,18 +149,15 @@ def test_pencil_schur_triangularises_the_tables():
         tables = build_tables(m)
         schur = tables.pencil
         eye = np.eye(m)
-        assert (np.tril(schur.aa, -1) == 0.0).all()
-        assert (np.tril(schur.bb, -1) == 0.0).all()
-        for u in (schur.q, schur.z):
-            assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-14
-        z_h = schur.z.conj().T
-        deriv_back = schur.q @ schur.aa @ z_h
-        overlap_back = schur.q @ schur.bb @ z_h
-        assert np.max(np.abs(deriv_back - tables.deriv)) <= 1e-14 * np.max(np.abs(tables.deriv))
+        assert (np.tril(schur.r, -1) == 0.0).all()
+        assert np.max(np.abs(schur.u.conj().T @ schur.u - eye)) <= 1e-14
+        # u r u^H is deriv^-1 overlap, so deriv times it gives overlap back
+        overlap_back = tables.deriv @ schur.u @ schur.r @ schur.u.conj().T
         assert np.max(np.abs(overlap_back - tables.overlap)) <= 1e-14 * np.max(np.abs(tables.overlap))
-        # the vectors undo their transforms: q load' = load, conj(z) end_vals' = end_vals
-        assert np.max(np.abs(schur.q @ schur.load - tables.load)) <= 1e-14 * np.pi
-        assert np.max(np.abs(schur.z.conj() @ schur.end_vals - tables.end_vals)) <= 1e-14 * 2.0
+        # the vectors undo their transforms: u load' = deriv^-1 load = e_0,
+        # conj(u) end_vals' = end_vals
+        assert np.max(np.abs(schur.u @ schur.load - eye[0])) <= 1e-14
+        assert np.max(np.abs(schur.u.conj() @ schur.end_vals - tables.end_vals)) <= 1e-14 * 2.0
 
 
 def test_pencil_schur_is_cached_and_read_only():
@@ -170,7 +167,7 @@ def test_pencil_schur_is_cached_and_read_only():
     schur = tables.pencil
     assert tables.pencil is schur
     assert build_tables(np.int64(8)).pencil is schur
-    for arr in (schur.q, schur.z, schur.aa, schur.bb, schur.load, schur.end_vals):
+    for arr in (schur.u, schur.r, schur.load, schur.end_vals):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0

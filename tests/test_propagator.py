@@ -269,16 +269,18 @@ def test_overflowing_assembly_is_reported():
     [
         # each case is named by its dense-solve (n = 1) input
         pytest.param(800.0, 750.0, 128, "solution", id="800.0-128-solution"),
-        pytest.param(710.5, 710.5, 256, "right-hand side", id="710.5-256-right-hand side"),
+        pytest.param(710.5, 974.0, 256, "right-hand side", id="710.5-256-right-hand side"),
     ],
 )
 def test_overflowing_propagation_raises_without_warnings(value, pencil_value, num_elements, where):
-    # exp(750) and up exceed the largest double; the state or the right-hand
+    # exp(710.5) and up exceed the largest double; the state or the right-hand
     # side overflows part-way through the elements, in the dense solve
     # (n = 1) and in the pencil solve (n = 16) alike.  Rounding decides which
-    # of the two overflows first: at 800 the pencil solve's state is still
-    # finite (2.9e305) when its next right-hand side overflows, so its
-    # "solution" case runs at 750
+    # of the two overflows first.  The pencil solve checks the right-hand
+    # side of its first step, load'[m - 1] a psi, and its later steps run
+    # past it, so mostly its state overflows first, as at 710.5 with 256
+    # elements.  Its "solution" case runs at 750 and its "right-hand side"
+    # case at 974, inside a window about 0.24 wide
     for size, entry in ((1, value), (16, pencil_value)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

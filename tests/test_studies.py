@@ -102,10 +102,13 @@ def test_sweep_reads_counts_as_integers_before_the_reference(monkeypatch):
 
     monkeypatch.setattr(studies, "expm_taylor_squaring", counting)
     # a count that is not an integer fails before the reference is paid for
-    for bad in ({"lo": 5.0, "hi": 6}, {"lo": 5, "hi": 6.0}, {"fixed": 8.5}):
+    for bad in ({"lo": 5.0, "hi": 6}, {"lo": 5, "hi": 6.0}, {"fixed": 8.5}, {"entry": (0.5, 0)}):
         with pytest.raises(TypeError):
-            sweep(m2(), entry=(0, 0), **bad)
+            sweep(m2(), **{"entry": (0, 0), **bad})
     assert references == []
+    # an integer-like entry is read as its index
+    rows = sweep(m2(), entry=(True, 1), lo=5, hi=5)
+    assert rows[0].selected_entry == sweep(m2(), entry=(1, 1), lo=5, hi=5)[0].selected_entry
     # integer-like counts arrive in the rows as plain ints
     for fixed in (np.int64(8), True):
         rows = sweep(m2(), entry=(0, 0), vary="basis", fixed=fixed, lo=np.int32(5), hi=6)
