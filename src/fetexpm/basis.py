@@ -19,8 +19,8 @@ those pointwise evaluators live there, not here.
 
 ``BasisTables.pencil`` triangularises ``deriv^-1 overlap`` with one unitary
 matrix, a Schur form built by deflation with numpy alone, on first use and
-then kept with the tables.  It lets the element solve for large matrices run
-as a back-substitution over the basis index (see ``propagator``).
+then kept with the tables.  It lets the element solve for all but the
+smallest matrices back-substitute over the basis index (see ``propagator``).
 """
 
 import functools
@@ -90,7 +90,7 @@ class BasisTables:
     end_vals: np.ndarray
 
     # built on first use: at m = 1..40 the pencils cost about a hundred times
-    # the tables, and only the solve for large matrices reads them
+    # the tables, and only the pencil solve reads them
     @functools.cached_property
     def pencil(self) -> PencilSchur:
         """Schur form of ``deriv^-1 overlap``, built once per tables."""

@@ -25,10 +25,10 @@ picks by ``n`` the solver that builds ``increment``.  The system depends
 only on ``a``, the element width ``2 / scale`` and ``m``, so each solver
 builds its part once and reuses it on every element:
 
-* ``n < 16``, the dense solve: the (n*m) x (n*m) system matrix is assembled
+* ``n < 6``, the dense solve: the (n*m) x (n*m) system matrix is assembled
   once, then each element assembles its right-hand side and solves for all
   ``n`` columns with one LAPACK call (``numpy.linalg.solve``).
-* ``n >= 16``, the pencil solve: ``load`` is the first column of ``deriv``,
+* ``n >= 6``, the pencil solve: ``load`` is the first column of ``deriv``,
   so multiplying by ``deriv^-1`` gives ``scale * X - T (a X) = e_0 (a psi_prev)``
   with ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H``
   (``BasisTables.pencil``) makes the system block upper triangular in
@@ -40,13 +40,10 @@ builds its part once and reuses it on every element:
   so each step is two matrix products.  That is O(m n^3) per element
   instead of O((n m)^3).
 
-Measured with one BLAS thread and E=8 on random complex matrices, the pencil
-solve overtakes the dense one near n=6 at m=8 and between n=4 and n=5 at
-m=16.  At n=4 the dense solve is 1.4 (m=8) and 1.2 (m=16) times faster; at
-n=16 the pencil solve is 4.6 and 10 times faster, at n=64 14 and 39 times.
-The switch sits at 16, above the crossover, so that every matrix smaller
-than that keeps the dense solve's results bit for bit, including minimum
-basis counts that rounding decides.  The two solves agree to rounding.
+The switch sits where the pencil solve overtakes the dense one at the
+default m=8: below n=6 one LAPACK call per element costs less than m
+Python-level steps (timings are in ROADMAP and the ``BENCH_*.json``
+files).  The two solves agree to rounding.
 
 Elements are inherently sequential, each consuming the previous element's
 end value.  A right-hand side, state or shifted-block inverse that
@@ -70,7 +67,7 @@ from .basis import BasisTables, build_tables
 from .dense import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
-PENCIL_MIN_SIZE = 16
+PENCIL_MIN_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,12 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
         If a count is not an integer.
     OverflowError
         If the block system, a right-hand side or the state overflows, or,
-        for n >= 16, a shifted diagonal block or its inverse does.  For
-        n >= 16 the first element's right-hand side ``load (a I)`` is
+        for n >= 6, a shifted diagonal block or its inverse does.  For
+        n >= 6 the first element's right-hand side ``load (a I)`` is
         checked before the blocks are inverted, so an input that overflows
         it raises this even when a block is singular to working precision.
     numpy.linalg.LinAlgError
-        If the block system (or, for n >= 16, one of the shifted diagonal
+        If the block system (or, for n >= 6, one of the shifted diagonal
         blocks ``scale I - r[k, k] a`` of its Schur form) is exactly
         singular, which happens when the element width times an eigenvalue
         of ``a`` hits a pole of the element map (for example

@@ -4,7 +4,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .dense import max_abs_diff
+from .dense import as_complex_matrix, max_abs_diff
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
 from .propagator import expm
 
@@ -77,10 +77,11 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
     if fixed < 1:
         raise ValueError("fixed parameter must be >= 1")
     row, col = map(operator.index, entry)
-    reference = expm_taylor_squaring(a)
-    n = reference.shape[0]
+    a = as_complex_matrix(a)
+    n = a.shape[0]
     if not (0 <= row < n and 0 <= col < n):
         raise ValueError(f"entry {entry} out of range for size {n}")
+    reference = expm_taylor_squaring(a)
     rows = []
     for value in range(lo, hi + 1):
         num_elements, num_basis = (value, fixed) if vary == "elements" else (fixed, value)

@@ -9,7 +9,7 @@ from random_matrices import random_unit_disk
 from fetexpm import expm, expm_taylor_squaring, exact_m1, m1, m2, max_abs_diff
 from fetexpm.basis import build_tables
 from fetexpm.dense import as_complex_matrix
-from fetexpm.propagator import assemble_rhs, assemble_system
+from fetexpm.propagator import PENCIL_MIN_SIZE, assemble_rhs, assemble_system
 
 
 def brute_force_system(a, scale, tables):
@@ -199,8 +199,10 @@ def kron_loop_expm(a, num_elements, num_basis):
 
 
 def test_expm_matches_kronecker_loop_bitwise():
+    # every size here is below the switch, so expm takes the dense solve
     rng = np.random.default_rng(4242)
-    for n in (1, 2, 3, 8):
+    for n in (1, 2, 3, 5):
+        assert n < PENCIL_MIN_SIZE
         for m in (1, 5, 8, 16):
             a = random_unit_disk(rng, n)
             for num_elements in (1, 3, 5):
@@ -253,8 +255,9 @@ def test_input_is_converted_once(monkeypatch):
 
 def test_singular_block_system_raises():
     # E=3, m=1: the block system's only entry is 6*pi - 4 * 1.5*pi = 0; at
-    # n = 16 the same entry fills the diagonal of the pencil solve's one shifted block
-    for size in (1, 16):
+    # n = 6 and 16 the same entry fills the diagonal of the pencil solve's one
+    # shifted block
+    for size in (1, 6, 16):
         with pytest.raises(np.linalg.LinAlgError):
             expm(4.0 * np.eye(size), num_elements=3, num_basis=1)
 
@@ -294,10 +297,10 @@ def spectral_scaled(rng, n, norm):
 
 
 def test_pencil_solve_matches_kronecker_loop():
-    # n >= 16 takes the pencil solve; the dense Kronecker loop is its oracle,
-    # equal in exact arithmetic, so the two agree to rounding
+    # n >= PENCIL_MIN_SIZE takes the pencil solve; the dense Kronecker loop is
+    # its oracle, equal in exact arithmetic, so the two agree to rounding
     rng = np.random.default_rng(1616)
-    for n in (16, 24, 32):
+    for n in (6, 8, 16, 24, 32):
         a = spectral_scaled(rng, n, 4.0)
         for m in (1, 2, 5, 8, 16):
             for num_elements in (1, 3, 8):
@@ -311,7 +314,7 @@ def test_pencil_solve_matches_scipy_expm():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     # at spectral norm 1/2 one element with 8 functions is already converged
     rng = np.random.default_rng(3232)
-    for n in (16, 24, 32):
+    for n in (6, 8, 16, 24, 32):
         a = spectral_scaled(rng, n, 0.5)
         reference = scipy_linalg.expm(a)
         scale = np.max(np.abs(reference))
@@ -321,7 +324,7 @@ def test_pencil_solve_matches_scipy_expm():
                 assert max_abs_diff(report.result, reference) <= 1e-12 * scale
 
 
-def test_solve_switches_to_the_pencil_at_sixteen(monkeypatch):
+def test_solve_switches_to_the_pencil_at_six(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -329,20 +332,21 @@ def test_solve_switches_to_the_pencil_at_sixteen(monkeypatch):
         return assemble_system(*args)
 
     monkeypatch.setattr("fetexpm.propagator.assemble_system", counting)
-    expm(np.eye(15) / 4.0)
+    assert PENCIL_MIN_SIZE == 6
+    expm(np.eye(PENCIL_MIN_SIZE - 1) / 4.0)
     assert len(calls) == 1
-    expm(np.eye(16) / 4.0)
+    expm(np.eye(PENCIL_MIN_SIZE) / 4.0)
     assert len(calls) == 1
 
 
 def test_pencil_is_built_only_for_the_pencil_solve():
     m = 43  # a basis count no other test reaches, so its tables start bare
     tables = build_tables(m)
-    expm(np.eye(15) / 4.0, 1, m)
+    expm(np.eye(5) / 4.0, 1, m)
     assert "pencil" not in vars(tables)
-    expm(np.eye(16) / 4.0, 1, m)
+    expm(np.eye(6) / 4.0, 1, m)
     pencil = vars(tables)["pencil"]
-    expm(np.eye(16) / 2.0, 1, m)
+    expm(np.eye(6) / 2.0, 1, m)
     assert build_tables(m).pencil is pencil
 
 
@@ -375,13 +379,14 @@ def test_pencil_solve_factors_once_per_call(monkeypatch):
 @pytest.mark.parametrize("num_elements", [8, 16, 58])
 def test_pencil_solve_keeps_the_stiff_block_accurate(num_elements):
     # m1 is Moler and Van Loan's stiff example (eigenvalues -1 and -25);
-    # eight copies of it on the diagonal take the pencil solve, which must
-    # keep the dense solve's accuracy on it
-    a = np.kron(np.eye(8), m1())
-    exact = np.kron(np.eye(8), exact_m1())
-    for m in (8, 12, 16):
-        result = expm(a, num_elements, m).result
-        assert max_abs_diff(result, exact) <= 1e-14 * np.max(np.abs(exact))
+    # three, four or eight copies of it on the diagonal take the pencil
+    # solve, which must keep the dense solve's accuracy on it
+    for copies in (3, 4, 8):
+        a = np.kron(np.eye(copies), m1())
+        exact = np.kron(np.eye(copies), exact_m1())
+        for m in (8, 12, 16):
+            result = expm(a, num_elements, m).result
+            assert max_abs_diff(result, exact) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_pencil_overflowing_inverse_is_reported(monkeypatch):

@@ -101,10 +101,13 @@ def test_sweep_reads_counts_as_integers_before_the_reference(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(studies, "expm_taylor_squaring", counting)
-    # a count that is not an integer fails before the reference is paid for
+    # a count that is not an integer, or an entry outside the matrix, fails
+    # before the reference is paid for
     for bad in ({"lo": 5.0, "hi": 6}, {"lo": 5, "hi": 6.0}, {"fixed": 8.5}, {"entry": (0.5, 0)}):
         with pytest.raises(TypeError):
             sweep(m2(), **{"entry": (0, 0), **bad})
+    with pytest.raises(ValueError, match="out of range"):
+        sweep(m2(), entry=(2, 0))
     assert references == []
     # an integer-like entry is read as its index
     rows = sweep(m2(), entry=(True, 1), lo=5, hi=5)
