@@ -39,8 +39,7 @@ def _integrated_coeffs(m: int) -> np.ndarray:
     """
     coeffs = np.zeros((m, m + 1))
     coeffs[0, 0] = 1.0
-    if m >= 1:
-        coeffs[0, 1] = 1.0
+    coeffs[0, 1] = 1.0
     if m >= 2:
         coeffs[1, 0] = -0.25
         coeffs[1, 2] = 0.25

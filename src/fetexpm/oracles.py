@@ -32,7 +32,11 @@ def expm_taylor_squaring(a) -> np.ndarray:
     """
     a = as_complex_matrix(a)
     n = a.shape[0]
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    # halving an infinite norm never brings it below the cap
+    if not math.isfinite(norm):
+        raise OverflowError("norm overflowed to non-finite values")
     shifts = 0
     while norm > _TAYLOR_NORM_CAP:
         norm /= 2.0

@@ -9,23 +9,16 @@ import numpy as np
 from chebyshev_oracle import integrated_chebyshev
 from random_matrices import random_unit_disk
 from fetexpm import (
-    exact_m1,
-    exact_m2,
-    exact_unit2,
     expm,
     expm_taylor_squaring,
     format_matrix,
-    m1,
-    m2,
-    m3,
-    m4,
     max_abs_diff,
     min_basis_for_tolerance,
     parse_matrix,
-    unit2,
 )
 from fetexpm.basis import build_tables
 from fetexpm.cli import main
+from fetexpm.oracles import exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
 
 
 def check(name, ok, detail):

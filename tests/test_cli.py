@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fetexpm import exact_m2, format_matrix, max_abs_diff, parse_matrix
+from fetexpm import format_matrix, max_abs_diff, parse_matrix
 from fetexpm.cli import main
+from fetexpm.oracles import exact_m2
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,11 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "expm", str(path))
     assert code == 3
     assert "numerical failure" in err
+    # the Taylor reference of sweep: every entry is finite, its norm is not
+    path.write_text("2\n1e308 1e308\n0 0\n")
+    code, out, err = run_cli(capsys, "sweep", str(path))
+    assert code == 3 and out == ""
+    assert "numerical failure" in err and "overflow" in err
 
 
 def test_overflowing_propagation_exits_three(tmp_path, capsys):

@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fetexpm import (
-    NAMED_MATRICES,
-    exact_m1,
-    exact_m2,
-    exact_unit2,
-    expm_taylor_squaring,
-    m1,
-    m2,
-    m3,
-    m4,
-    max_abs_diff,
-    unit2,
-)
+from fetexpm import NAMED_MATRICES, expm_taylor_squaring, max_abs_diff
+from fetexpm.oracles import exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
 
 
 def test_zero_matrix_gives_identity_exactly():
@@ -89,3 +78,7 @@ def test_series_rejects_non_square():
 def test_series_reports_overflow():
     with pytest.raises(OverflowError):
         expm_taylor_squaring(np.full((2, 2), 1e306))
+    # finite entries whose row-sum norm overflows: the shift search would
+    # halve an infinite norm forever
+    with pytest.raises(OverflowError, match="norm"):
+        expm_taylor_squaring([[1e308, 1e308], [0.0, 0.0]])

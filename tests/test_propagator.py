@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from random_matrices import random_unit_disk
-from fetexpm import expm, expm_taylor_squaring, exact_m1, m1, m2, max_abs_diff
+from fetexpm import expm, expm_taylor_squaring, max_abs_diff
 from fetexpm.basis import build_tables
 from fetexpm.dense import as_complex_matrix
+from fetexpm.oracles import exact_m1, m1, m2
 from fetexpm.propagator import PENCIL_MIN_SIZE, assemble_rhs, assemble_system
 
 
@@ -268,27 +269,21 @@ def test_overflowing_assembly_is_reported():
 
 
 @pytest.mark.parametrize(
-    ("value", "pencil_value", "num_elements", "where"),
+    ("value", "num_elements"),
     [
-        # each case is named by its dense-solve (n = 1) input
-        pytest.param(800.0, 750.0, 128, "solution", id="800.0-128-solution"),
-        pytest.param(710.5, 974.0, 256, "right-hand side", id="710.5-256-right-hand side"),
+        pytest.param(800.0, 128, id="800.0-128-solution"),
+        pytest.param(710.5, 256, id="710.5-256-solution"),
     ],
 )
-def test_overflowing_propagation_raises_without_warnings(value, pencil_value, num_elements, where):
-    # exp(710.5) and up exceed the largest double; the state or the right-hand
-    # side overflows part-way through the elements, in the dense solve
-    # (n = 1) and in the pencil solve (n = 16) alike.  Rounding decides which
-    # of the two overflows first.  The pencil solve checks the right-hand
-    # side of its first step, load'[m - 1] a psi, and its later steps run
-    # past it, so mostly its state overflows first, as at 710.5 with 256
-    # elements.  Its "solution" case runs at 750 and its "right-hand side"
-    # case at 974, inside a window about 0.24 wide
-    for size, entry in ((1, value), (16, pencil_value)):
+def test_overflowing_propagation_raises_without_warnings(value, num_elements):
+    # exp(710.5) and up exceed the largest double; the set-up stays finite and
+    # the state overflows part-way through the elements, in the dense solve
+    # (n = 1, 5) and in the pencil solve (n = 6, 16) alike
+    for size in (1, PENCIL_MIN_SIZE - 1, PENCIL_MIN_SIZE, 16):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=where):
-                expm(entry * np.eye(size), num_elements=num_elements)
+            with pytest.raises(OverflowError, match="solution"):
+                expm(value * np.eye(size), num_elements=num_elements)
 
 
 def spectral_scaled(rng, n, norm):
@@ -351,7 +346,8 @@ def test_pencil_is_built_only_for_the_pencil_solve():
 
 
 def test_pencil_overflowing_input_is_reported():
-    # the shifted blocks stay finite; the first right-hand side overflows
+    # the shifted blocks stay finite; the first right-hand side overflows,
+    # which the set-up check sees before the blocks are inverted
     with pytest.raises(OverflowError):
         expm(np.full((16, 16), 1e308))
 
@@ -391,9 +387,10 @@ def test_pencil_solve_keeps_the_stiff_block_accurate(num_elements):
 
 def test_pencil_overflowing_inverse_is_reported(monkeypatch):
     # no finite input is known whose shifted blocks stay finite while their
-    # inverses overflow, so the inversion is made to overflow
+    # inverses overflow, so the inversion is made to overflow; the non-finite
+    # inverse reaches the state, which the element loop checks
     monkeypatch.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match="inverse"):
+        with pytest.raises(OverflowError, match="solution"):
             expm(np.eye(16) / 4.0)

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from fetexpm import (
-    exact_m2,
-    m2,
-    m3,
-    m4,
-    min_basis_for_tolerance,
-    studies,
-    sweep,
-    table1,
-)
+from fetexpm import min_basis_for_tolerance, studies, sweep, table1
+from fetexpm.oracles import exact_m2, m2, m3, m4
 
 
 def test_min_basis_finds_known_value():
