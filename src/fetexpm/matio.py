@@ -1,10 +1,10 @@
 """Plain-text square-matrix files.
 
-Layout: any number of ``#`` comment lines, one header line holding the
-dimension ``n``, then exactly ``n`` rows of ``n`` whitespace-separated
-entries.  A bare number is a real entry; a complex entry is a
-parenthesized pair, ``(re,im)`` or ``(re im)``.  Values are written back
-with 17 significant digits, which round-trips doubles exactly.
+Files are UTF-8 text.  Layout: any number of ``#`` comment lines, one
+header line holding the dimension ``n``, then exactly ``n`` rows of ``n``
+whitespace-separated entries.  A bare number is a real entry; a complex
+entry is a parenthesized pair, ``(re,im)`` or ``(re im)``.  Values are
+written back with 17 significant digits, which round-trips doubles exactly.
 """
 
 import math
@@ -15,10 +15,14 @@ from .dense import as_complex_matrix
 
 
 class MatrixParseError(ValueError):
-    """Malformed matrix text, with 1-based line/column of the offence."""
+    """Malformed matrix text, with 1-based line/column of the offence.
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    A file that cannot be read has no offending position: ``line`` and
+    ``column`` are then ``None`` and the message carries none.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
@@ -116,12 +120,22 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read and parse a matrix file from disk."""
+    """Read and parse a UTF-8 matrix file from disk."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from exc
+        raise MatrixParseError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # everything before the offending byte decodes; a sentinel character
+        # makes the last of its lines the offending byte's line, split as
+        # parse_matrix splits, and its length the byte's 1-based column
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise MatrixParseError(
+            f"not UTF-8 text: byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+        ) from None
     return parse_matrix(text)
 
 

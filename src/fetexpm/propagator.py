@@ -20,14 +20,16 @@ column ``j`` of ``psi``.  Written with the coefficients as an (m, n) stack
 ``X`` of n x n blocks, this is the generalized Sylvester equation
 ``scale * deriv @ X - overlap @ (a X) = load (a psi_prev)``.
 
-``expm`` runs the one element loop, ``psi = psi + increment(psi)``, and
-picks by ``n`` the solver that builds ``increment``.  The system depends
-only on ``a``, the element width ``2 / scale`` and ``m``, so each solver
-builds its part once and reuses it on every element:
+``expm`` runs the one element loop, ``psi = step(psi)``, and picks by
+``n`` the solver that builds ``step``, a function from an element's start
+state to its end state.  The system depends only on ``a``, the element width
+``2 / scale`` and ``m``, so each solver builds its part once and reuses it on
+every element:
 
 * ``n < 6``, the dense solve: the (n*m) x (n*m) system matrix is assembled
-  once, then each element assembles its right-hand side and solves for all
-  ``n`` columns with one LAPACK call (``numpy.linalg.solve``).
+  once, then each element assembles its right-hand side, solves for all
+  ``n`` columns with one LAPACK call (``numpy.linalg.solve``) and adds the
+  coefficients' end values to ``psi_prev``.
 * ``n >= 6``, the pencil solve: ``load`` is the first column of ``deriv``,
   so multiplying by ``deriv^-1`` gives ``scale * X - T (a X) = e_0 (a psi_prev)``
   with ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H``
@@ -35,10 +37,12 @@ builds its part once and reuses it on every element:
   ``Y = u^H X`` (Bartels and Stewart, 1972), so each element
   back-substitutes from ``k = m - 1`` down to 0 through the shifted n x n
   blocks ``(scale I - r[k, k] a) Y[k] = a u_k``, where ``u_k`` combines
-  ``psi_prev`` and the ``Y[j]`` already solved; the end value is
-  ``(u^T end_vals) @ Y``.  The m shifted blocks are inverted once per call,
-  so each step is two matrix products.  That is O(m n^3) per element
-  instead of O((n m)^3).
+  ``psi_prev`` and the ``Y[j]`` already solved.  The end value is one more
+  such combination, ``psi_prev + (u^T end_vals) @ Y``: the last row of the
+  coupling matrix that forms every ``u_k``.  The m shifted blocks are
+  inverted once per call, so an element is 2m matrix products and m + 1
+  row combinations, O(m n^3) instead of O((n m)^3), and its state stays in
+  the solver's work buffer from one element to the next.
 
 The switch sits where the pencil solve overtakes the dense one at the
 default m=8: below n=6 one LAPACK call per element costs less than m
@@ -59,6 +63,7 @@ checks its shape, and checks the counts.  The solvers and assembly kernels
 take those checked arrays as they are and check nothing again.
 """
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -162,18 +167,20 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     # equal elements of width 1/E map onto [-1, 1] with scale 2E
     scale = 2.0 * num_elements
     solver = _pencil_solver if a.shape[0] >= PENCIL_MIN_SIZE else _dense_solver
-    increment = solver(a, scale, tables)
+    step = solver(a, scale, tables)
     psi = np.eye(a.shape[0], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(num_elements):
-            psi = psi + increment(psi)
+            psi = step(psi)
             if not np.isfinite(psi).all():
                 raise OverflowError("solution overflowed to non-finite values")
-    return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
+    # the pencil step's state is a view of its work buffer; a copy lets the
+    # result own its memory instead of keeping the whole buffer alive
+    return ExpmReport(result=psi.copy(), num_elements=num_elements, num_basis=tables.m)
 
 
 def _dense_solver(a: np.ndarray, scale: float, tables: BasisTables):
-    """The dense solve: a function from an element's start state to its increment.
+    """The dense solve: a function from an element's start state to its end state.
 
     One system matrix serves all elements, since ``a`` is constant; each
     element solves it for all ``n`` columns with one LAPACK call.
@@ -181,24 +188,33 @@ def _dense_solver(a: np.ndarray, scale: float, tables: BasisTables):
     n = a.shape[0]
     system = assemble_system(a, scale, tables)
 
-    def increment(psi: np.ndarray) -> np.ndarray:
+    def step(psi: np.ndarray) -> np.ndarray:
         coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
         # coefficients regrouped as (column, basis, row): one contiguous
         # (m, n) block per column, evaluated at local time +1
         per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
-        return (tables.end_vals @ per_col).T
+        return psi + (tables.end_vals @ per_col).T
 
-    return increment
+    return step
 
 
 def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
-    """The pencil solve: a function from an element's start state to its increment.
+    """The pencil solve: a function from an element's start state to its end state.
 
-    Step ``k`` solves ``(scale I - r[k, k] a) Y[k] = a u_k`` with
-    ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]`` and the
-    transformed ``load' = conj(u[0, :])``; the increment is
-    ``(u^T end_vals) @ Y``.  The shifted blocks are the same on every
-    element, so they are inverted once, and each step is two products.
+    The stacked rows ``[Y[0] ... Y[m - 1], psi]`` of a work buffer, each an
+    n x n block flattened, are combined by the rows of the (m + 1) x (m + 1)
+    coupling matrix ``[[r, load'], [end', 1]]`` with ``load' = conj(u[0, :])``
+    and ``end' = u^T end_vals``.  Step ``k`` solves
+    ``(scale I - r[k, k] a) Y[k] = a u_k``, where row ``k`` gives
+    ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]``, and row ``m``
+    gives the end state ``psi + end' Y``.  The shifted blocks are the same on
+    every element, so they are inverted once; an element is then 2m matrix
+    products and m + 1 row combinations.
+
+    The state lives in the work buffer: there are two, and each element reads
+    its start state from one and writes its end state into the other, which
+    the next element reads.  The function returns that end-state view, so a
+    caller that feeds it back copies nothing.
     """
     n = a.shape[0]
     m = tables.m
@@ -208,32 +224,63 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
         # the diagonal blocks of the triangularised system, one per basis step
         shifted = np.multiply.outer(-np.diagonal(pencil.r), a)
         shifted[:, diag, diag] += scale
-        # the first element's right-hand side, since a @ I is a exactly.
-        # load is real with max |load| = load[0] = pi, and every |r[k, k]|
-        # is at most 1.5 (at m = 1, smaller for larger m), so even a complex
+        # the first element's right-hand sides are load[k] a, since a @ I is
+        # a exactly.  load is real with max |load| = load[0] = pi, so load[0] a
+        # is finite exactly when all of them are; and every |r[k, k]| is at
+        # most 1.5 (at m = 1, smaller for larger m), so even a complex
         # product's parts stay below pi max(|Re a|, |Im a|): when this is
         # finite, so are the blocks.  Checked before inverting, an input
         # that overflows is reported as such even when a block is singular
         # to working precision
-        first_rhs = np.multiply.outer(tables.load, a)
+        first_rhs = tables.load[0] * a
     if not np.isfinite(first_rhs).all():
         raise OverflowError("block system overflowed to non-finite values")
     inverse = np.linalg.inv(shifted)
-    # row k couples step k to the steps solved after it and to psi, the
-    # last of the stacked rows [Y[0] ... Y[m - 1], psi] below
-    coupling = np.concatenate((pencil.r, pencil.load[:, None]), axis=1)
-    stacked = np.empty((m + 1, n, n), dtype=np.complex128)
-    stacked_rows = stacked.reshape(m + 1, n * n)
+    coupling = np.empty((m + 1, m + 1), dtype=np.complex128)
+    coupling[:m, :m] = pencil.r
+    coupling[:m, m] = pencil.load
+    coupling[m, :m] = pencil.end_vals
+    coupling[m, m] = 1.0
+    # the hot calls are ndarray.dot bound once here: the same BLAS call as
+    # np.dot without its dispatch, which at small n costs more than the
+    # arithmetic.  Every operand is C-contiguous complex128, and no output
+    # aliases an input
+    couples = [coupling[k, k + 1:].dot for k in range(m)]
+    solves = [block.dot for block in inverse]
+    times_a = a.dot
+    end_combine = coupling[m].dot
+    work = np.empty((2, m + 1, n * n), dtype=np.complex128)
+    blocks = work.reshape(2, m + 1, n, n)
+    # one view object per state row: a step returns the one the next step
+    # recognises as its own start state
+    states = [blocks[0, m], blocks[1, m]]
     u_rows = np.empty(n * n, dtype=np.complex128)
     u_k = u_rows.reshape(n, n)
     rhs = np.empty((n, n), dtype=np.complex128)
+    # per buffer: its state, the steps k = m - 1 down to 0 (coupling row,
+    # tail rows, inverse block, output block), its rows, and the other
+    # buffer's state row, flat and as the n x n view the next element reads
+    plans = itertools.cycle([
+        (
+            states[p],
+            [(couples[k], rows[k + 1:], solves[k], blocks[p, k]) for k in range(m - 1, -1, -1)],
+            rows,
+            work[1 - p, m],
+            states[1 - p],
+        )
+        for p, rows in enumerate(work)
+    ])
 
-    def increment(psi: np.ndarray) -> np.ndarray:
-        stacked[m] = psi
-        for k in range(m - 1, -1, -1):
-            np.matmul(coupling[k, k + 1:], stacked_rows[k + 1:], out=u_rows)
-            np.matmul(a, u_k, out=rhs)
-            np.matmul(inverse[k], rhs, out=stacked[k])
-        return (pencil.end_vals @ stacked_rows[:m]).reshape(n, n)
+    def step(psi: np.ndarray) -> np.ndarray:
+        state, back_substitution, rows, end_rows, end_state = next(plans)
+        if psi is not state:
+            # a start state from outside, such as the first element's identity
+            state[...] = psi
+        for couple, tail, solve, y_k in back_substitution:
+            couple(tail, out=u_rows)
+            times_a(u_k, out=rhs)
+            solve(rhs, out=y_k)
+        end_combine(rows, out=end_rows)
+        return end_state
 
-    return increment
+    return step

@@ -140,7 +140,15 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "expm", "no_such_file.txt")
     assert code == 2
-    assert "cannot read" in err
+    assert "cannot read" in err and "line" not in err
+
+
+def test_non_utf8_file_exits_two_with_position(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2\n1 \xff\n0 1\n")
+    code, out, err = run_cli(capsys, "expm", str(path))
+    assert code == 2 and out == ""
+    assert "line 2, column 3" in err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -90,8 +90,25 @@ def test_non_finite_rejected():
 
 
 def test_load_matrix_missing_file(tmp_path):
-    with pytest.raises(MatrixParseError, match="cannot read"):
-        load_matrix(tmp_path / "absent.txt")
+    # a file that cannot be read has no offending position to report
+    for path in (tmp_path / "absent.txt", tmp_path):
+        with pytest.raises(MatrixParseError, match="^cannot read") as err:
+            load_matrix(path)
+        assert err.value.line is None and err.value.column is None
+        assert "line" not in str(err.value)
+
+
+def test_load_matrix_reports_non_utf8_byte_position(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2\n1 \xff\n0 1\n")
+    with pytest.raises(MatrixParseError, match="0xff") as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (2, 3)
+    # columns count characters as the parser does, and lines split as it splits
+    path.write_bytes("# \u00e9\r\n2\r\n1 0\r\n0 \u00e9".encode("utf-8") + b"\xff\n")
+    with pytest.raises(MatrixParseError) as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (4, 4)
 
 
 def test_load_matrix_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ from fetexpm import expm, expm_taylor_squaring, max_abs_diff
 from fetexpm.basis import build_tables
 from fetexpm.dense import as_complex_matrix
 from fetexpm.oracles import exact_m1, m1, m2
-from fetexpm.propagator import PENCIL_MIN_SIZE, assemble_rhs, assemble_system
+from fetexpm.propagator import PENCIL_MIN_SIZE, _pencil_solver, assemble_rhs, assemble_system
 
 
 def brute_force_system(a, scale, tables):
@@ -350,6 +350,69 @@ def test_pencil_overflowing_input_is_reported():
     # which the set-up check sees before the blocks are inverted
     with pytest.raises(OverflowError):
         expm(np.full((16, 16), 1e308))
+
+
+def test_load_peaks_at_its_first_entry():
+    # the pencil's set-up overflow check scales a by load[0] alone; that
+    # covers every load[k] a because no |load[k]| exceeds load[0]
+    for m in range(1, 61):
+        load = build_tables(m).load
+        assert load[0] == np.pi == np.max(np.abs(load))
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_pencil_set_up_check_stops_overflow_before_inverting(monkeypatch, unit):
+    def failing_inv(blocks):
+        raise RuntimeError("inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    # Python floats, which overflow to inf without a warning
+    finfo = np.finfo(np.float64)
+    limit = float(finfo.max) / math.pi
+    above = limit * (1.0 + 4.0 * float(finfo.eps))
+    below = limit * (1.0 - 4.0 * float(finfo.eps))
+    assert math.isinf(math.pi * above) and math.isfinite(math.pi * below)
+    a = np.zeros((6, 6), dtype=complex)
+    a[2, 3] = unit * above
+    with pytest.raises(OverflowError, match="block system"):
+        expm(a)
+    a[2, 3] = unit * below
+    with pytest.raises(RuntimeError, match="inverted"):
+        expm(a)
+
+
+def test_results_own_their_memory():
+    # the pencil step keeps its state in a work buffer; every result must
+    # still be a fresh array, not a view that keeps the buffer alive, and a
+    # later call must leave it alone
+    rng = np.random.default_rng(66)
+    for n in (2, 5, 6, 16):
+        first = expm(random_unit_disk(rng, n)).result
+        kept = first.copy()
+        second = expm(random_unit_disk(rng, n)).result
+        for result in (first, second):
+            assert result.shape == (n, n) and result.dtype == np.complex128
+            assert result.flags.c_contiguous and result.flags.writeable
+            assert result.flags.owndata
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+
+def test_pencil_step_takes_any_start_state():
+    # the step reads its start state from whichever of its two work buffers
+    # is next: a state it returned is read in place, and any other state is
+    # copied in first, on either buffer
+    rng = np.random.default_rng(31)
+    a = as_complex_matrix(random_unit_disk(rng, 6))
+    tables = build_tables(8)
+    step = _pencil_solver(a, 16.0, tables)
+    state = step(np.eye(6))
+    want = _pencil_solver(a, 16.0, tables)(state.copy()).copy()
+    assert np.array_equal(step(state), want)
+    psi = random_unit_disk(rng, 6)
+    want = _pencil_solver(a, 16.0, tables)(psi).copy()
+    for _ in range(2):
+        assert np.array_equal(step(psi), want)
 
 
 def test_pencil_solve_factors_once_per_call(monkeypatch):
