@@ -57,17 +57,17 @@ class PencilSchur:
 
     u        -- unitary (m x m) with ``u @ r @ u^H == T`` up to rounding
     r        -- ``u^H T u``, exactly upper triangular
-    load     -- ``u^H deriv^-1 load == conj(u[0, :])``, since ``load`` is the
-                first column of ``deriv``
-    end_vals -- ``u^T end_vals``, the end values in the transformed basis
+    coupling -- ``[[r, load'], [end', 1]]``, (m + 1) x (m + 1), with ``r`` a
+                view of it; ``load' = u^H deriv^-1 load == conj(u[0, :])``
+                as ``load`` is the first column of ``deriv``, and ``end' =
+                u^T end_vals``, the end values in the transformed basis
 
     Like the tables it depends only on ``m`` and is immutable.
     """
 
     u: np.ndarray
     r: np.ndarray
-    load: np.ndarray
-    end_vals: np.ndarray
+    coupling: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,15 @@ class BasisTables:
             r[k:, :] = uk.conj().T @ r[k:, :]
             r[:, k:] = r[:, k:] @ uk
             u[:, k:] = u[:, k:] @ uk
+        coupling = np.empty((m + 1, m + 1), dtype=np.complex128)
         # the entries below the diagonal are rounding leakage of order 1e-16
-        r = np.triu(r)
-        load = u[0].conj()
-        end_vals = u.T @ self.end_vals
-        for arr in (u, r, load, end_vals):
+        coupling[:m, :m] = np.triu(r)
+        coupling[:m, m] = u[0].conj()
+        coupling[m, :m] = u.T @ self.end_vals
+        coupling[m, m] = 1.0
+        for arr in (u, coupling):
             arr.setflags(write=False)
-        return PencilSchur(u=u, r=r, load=load, end_vals=end_vals)
+        return PencilSchur(u=u, r=coupling[:m, :m], coupling=coupling)
 
 
 def build_tables(m: int) -> BasisTables:

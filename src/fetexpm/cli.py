@@ -154,7 +154,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MatrixParseError as exc:
-        print(f"fetexpm: parse error: {exc}", file=sys.stderr)
+        # a file that cannot be read carries no position: nothing was parsed
+        kind = "" if exc.line is None else "parse error: "
+        print(f"fetexpm: {kind}{exc}", file=sys.stderr)
         return EXIT_PARSE
     except (np.linalg.LinAlgError, OverflowError) as exc:
         print(f"fetexpm: numerical failure: {exc}", file=sys.stderr)

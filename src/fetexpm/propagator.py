@@ -26,11 +26,11 @@ state to its end state.  The system depends only on ``a``, the element width
 ``2 / scale`` and ``m``, so each solver builds its part once and reuses it on
 every element:
 
-* ``n < 6``, the dense solve: the (n*m) x (n*m) system matrix is assembled
+* ``n <= 2``, the dense solve: the (n*m) x (n*m) system matrix is assembled
   once, then each element assembles its right-hand side, solves for all
   ``n`` columns with one LAPACK call (``numpy.linalg.solve``) and adds the
   coefficients' end values to ``psi_prev``.
-* ``n >= 6``, the pencil solve: ``load`` is the first column of ``deriv``,
+* ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``,
   so multiplying by ``deriv^-1`` gives ``scale * X - T (a X) = e_0 (a psi_prev)``
   with ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H``
   (``BasisTables.pencil``) makes the system block upper triangular in
@@ -39,21 +39,23 @@ every element:
   blocks ``(scale I - r[k, k] a) Y[k] = a u_k``, where ``u_k`` combines
   ``psi_prev`` and the ``Y[j]`` already solved.  The end value is one more
   such combination, ``psi_prev + (u^T end_vals) @ Y``: the last row of the
-  coupling matrix that forms every ``u_k``.  The m shifted blocks are
-  inverted once per call, so an element is 2m matrix products and m + 1
-  row combinations, O(m n^3) instead of O((n m)^3), and its state stays in
-  the solver's work buffer from one element to the next.
+  coupling matrix that forms every ``u_k``, built once per m with the Schur
+  form.  The m shifted blocks are inverted once per call, so an element is
+  2m matrix products and m + 1 row combinations, O(m n^3) instead of
+  O((n m)^3), and its state stays in the solver's work buffer.
 
-The switch sits where the pencil solve overtakes the dense one at the
-default m=8: below n=6 one LAPACK call per element costs less than m
-Python-level steps (timings are in ROADMAP and the ``BENCH_*.json``
-files).  The two solves agree to rounding.
+The switch sits where the pencil solve overtakes the dense one: at n = 2
+one LAPACK call per element costs less than m Python-level steps, and from
+n = 3 the pencil solve ties or wins (timings are in ROADMAP and the
+``BENCH_*.json`` files).  The two solves agree to rounding.
 
 Elements are inherently sequential, each consuming the previous element's
 end value.  Overflow is checked once per phase and raises ``OverflowError``:
-at set-up, the block system ("block system"), and after each element, the
-state ("solution").  IEEE arithmetic carries inf and NaN forward, so an
-overflow anywhere inside an element shows in its end value.  The pencil
+at set-up, the block system ("block system"), and after the last element,
+the state ("solution").  IEEE arithmetic carries inf and NaN forward, so an
+overflow anywhere inside an element shows in its end value, and a
+non-finite state stays non-finite: the dense step adds to ``psi_prev`` and
+the pencil step's end row has coefficient exactly 1 on it.  The pencil
 solve's set-up check runs before it inverts.  An exactly singular block
 system (dense) or shifted block (pencil) raises
 ``numpy.linalg.LinAlgError``.
@@ -73,7 +75,7 @@ from .basis import BasisTables, build_tables
 from .dense import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
-PENCIL_MIN_SIZE = 6
+PENCIL_MIN_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,13 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
         If a count is not an integer.
     OverflowError
         If the block system overflows at set-up ("block system") or the
-        state does after an element ("solution").  For n >= 6 the set-up
+        state is not finite after the last element ("solution"), which is
+        checked once since a non-finite state stays so.  For n >= 3 the set-up
         check runs before the shifted blocks are inverted, so an input that
         overflows raises this even when a block is singular to working
         precision.
     numpy.linalg.LinAlgError
-        If the block system (or, for n >= 6, one of the shifted diagonal
+        If the block system (or, for n >= 3, one of the shifted diagonal
         blocks ``scale I - r[k, k] a`` of its Schur form) is exactly
         singular, which happens when the element width times an eigenvalue
         of ``a`` hits a pole of the element map (for example
@@ -172,8 +175,8 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(num_elements):
             psi = step(psi)
-            if not np.isfinite(psi).all():
-                raise OverflowError("solution overflowed to non-finite values")
+    if not np.isfinite(psi).all():
+        raise OverflowError("solution overflowed to non-finite values")
     # the pencil step's state is a view of its work buffer; a copy lets the
     # result own its memory instead of keeping the whole buffer alive
     return ExpmReport(result=psi.copy(), num_elements=num_elements, num_basis=tables.m)
@@ -203,8 +206,8 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
 
     The stacked rows ``[Y[0] ... Y[m - 1], psi]`` of a work buffer, each an
     n x n block flattened, are combined by the rows of the (m + 1) x (m + 1)
-    coupling matrix ``[[r, load'], [end', 1]]`` with ``load' = conj(u[0, :])``
-    and ``end' = u^T end_vals``.  Step ``k`` solves
+    coupling matrix ``[[r, load'], [end', 1]]`` (``PencilSchur.coupling``).
+    Step ``k`` solves
     ``(scale I - r[k, k] a) Y[k] = a u_k``, where row ``k`` gives
     ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]``, and row ``m``
     gives the end state ``psi + end' Y``.  The shifted blocks are the same on
@@ -218,11 +221,11 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
     """
     n = a.shape[0]
     m = tables.m
-    pencil = tables.pencil
+    coupling = tables.pencil.coupling
     diag = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # the diagonal blocks of the triangularised system, one per basis step
-        shifted = np.multiply.outer(-np.diagonal(pencil.r), a)
+        shifted = np.multiply.outer(-np.diagonal(tables.pencil.r), a)
         shifted[:, diag, diag] += scale
         # the first element's right-hand sides are load[k] a, since a @ I is
         # a exactly.  load is real with max |load| = load[0] = pi, so load[0] a
@@ -236,11 +239,6 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
     if not np.isfinite(first_rhs).all():
         raise OverflowError("block system overflowed to non-finite values")
     inverse = np.linalg.inv(shifted)
-    coupling = np.empty((m + 1, m + 1), dtype=np.complex128)
-    coupling[:m, :m] = pencil.r
-    coupling[:m, m] = pencil.load
-    coupling[m, :m] = pencil.end_vals
-    coupling[m, m] = 1.0
     # the hot calls are ndarray.dot bound once here: the same BLAS call as
     # np.dot without its dispatch, which at small n costs more than the
     # arithmetic.  Every operand is C-contiguous complex128, and no output

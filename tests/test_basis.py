@@ -154,10 +154,14 @@ def test_pencil_schur_triangularises_the_tables():
         # u r u^H is deriv^-1 overlap, so deriv times it gives overlap back
         overlap_back = tables.deriv @ schur.u @ schur.r @ schur.u.conj().T
         assert np.max(np.abs(overlap_back - tables.overlap)) <= 1e-14 * np.max(np.abs(tables.overlap))
-        # the vectors undo their transforms: u load' = deriv^-1 load = e_0,
-        # conj(u) end_vals' = end_vals
-        assert np.max(np.abs(schur.u @ schur.load - eye[0])) <= 1e-14
-        assert np.max(np.abs(schur.u.conj() @ schur.end_vals - tables.end_vals)) <= 1e-14 * 2.0
+        # the coupling matrix [[r, load'], [end', 1]] holds r and the
+        # vectors, which undo their transforms: u load' = deriv^-1 load = e_0,
+        # conj(u) end' = end_vals
+        coupling = schur.coupling
+        assert coupling.shape == (m + 1, m + 1) and coupling[m, m] == 1.0
+        assert np.shares_memory(schur.r, coupling) and (coupling[:m, :m] == schur.r).all()
+        assert np.max(np.abs(schur.u @ coupling[:m, m] - eye[0])) <= 1e-14
+        assert np.max(np.abs(schur.u.conj() @ coupling[m, :m] - tables.end_vals)) <= 1e-14 * 2.0
 
 
 def test_pencil_schur_is_cached_and_read_only():
@@ -167,7 +171,7 @@ def test_pencil_schur_is_cached_and_read_only():
     schur = tables.pencil
     assert tables.pencil is schur
     assert build_tables(np.int64(8)).pencil is schur
-    for arr in (schur.u, schur.r, schur.load, schur.end_vals):
+    for arr in (schur.u, schur.r, schur.coupling):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0

@@ -137,10 +137,13 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
     assert "line 2" in err and "column 3" in err
 
 
-def test_missing_file_exits_two(capsys):
-    code, _, err = run_cli(capsys, "expm", "no_such_file.txt")
-    assert code == 2
-    assert "cannot read" in err and "line" not in err
+def test_missing_file_exits_two(tmp_path, capsys):
+    # nothing was parsed, so neither a position nor "parse error" is printed
+    for path in ("no_such_file.txt", str(tmp_path)):
+        code, _, err = run_cli(capsys, "expm", path)
+        assert code == 2
+        assert err.startswith("fetexpm: cannot read")
+        assert "line" not in err and "parse error" not in err
 
 
 def test_non_utf8_file_exits_two_with_position(tmp_path, capsys):

@@ -10,7 +10,13 @@ from fetexpm import expm, expm_taylor_squaring, max_abs_diff
 from fetexpm.basis import build_tables
 from fetexpm.dense import as_complex_matrix
 from fetexpm.oracles import exact_m1, m1, m2
-from fetexpm.propagator import PENCIL_MIN_SIZE, _pencil_solver, assemble_rhs, assemble_system
+from fetexpm.propagator import (
+    PENCIL_MIN_SIZE,
+    _dense_solver,
+    _pencil_solver,
+    assemble_rhs,
+    assemble_system,
+)
 
 
 def brute_force_system(a, scale, tables):
@@ -199,11 +205,14 @@ def kron_loop_expm(a, num_elements, num_basis):
     return psi
 
 
-def test_expm_matches_kronecker_loop_bitwise():
-    # every size here is below the switch, so expm takes the dense solve
+def test_expm_matches_kronecker_loop_bitwise(monkeypatch):
+    # n = 1 and 2 are below the switch, so expm takes the dense solve; n = 3
+    # and 5 take it with the switch moved above them, which keeps the dense
+    # solve pinned bit for bit at the sizes it used to serve
     rng = np.random.default_rng(4242)
     for n in (1, 2, 3, 5):
-        assert n < PENCIL_MIN_SIZE
+        if n >= PENCIL_MIN_SIZE:
+            monkeypatch.setattr("fetexpm.propagator.PENCIL_MIN_SIZE", n + 1)
         for m in (1, 5, 8, 16):
             a = random_unit_disk(rng, n)
             for num_elements in (1, 3, 5):
@@ -256,9 +265,9 @@ def test_input_is_converted_once(monkeypatch):
 
 def test_singular_block_system_raises():
     # E=3, m=1: the block system's only entry is 6*pi - 4 * 1.5*pi = 0; at
-    # n = 6 and 16 the same entry fills the diagonal of the pencil solve's one
-    # shifted block
-    for size in (1, 6, 16):
+    # n = 3, 6 and 16 the same entry fills the diagonal of the pencil solve's
+    # one shifted block
+    for size in (1, 3, 6, 16):
         with pytest.raises(np.linalg.LinAlgError):
             expm(4.0 * np.eye(size), num_elements=3, num_basis=1)
 
@@ -278,12 +287,39 @@ def test_overflowing_assembly_is_reported():
 def test_overflowing_propagation_raises_without_warnings(value, num_elements):
     # exp(710.5) and up exceed the largest double; the set-up stays finite and
     # the state overflows part-way through the elements, in the dense solve
-    # (n = 1, 5) and in the pencil solve (n = 6, 16) alike
-    for size in (1, PENCIL_MIN_SIZE - 1, PENCIL_MIN_SIZE, 16):
+    # (n = 1, 2) and in the pencil solve (n = 3, 16) alike
+    assert PENCIL_MIN_SIZE == 3
+    for size in (1, 2, 3, 16):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="solution"):
                 expm(value * np.eye(size), num_elements=num_elements)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_finite_state_stays_non_finite(n):
+    # expm checks the state once, after the last element; that suffices
+    # because neither step turns a non-finite start state finite: the dense
+    # step (n = 2) adds to it, and the pencil step's (n = 3) end row has
+    # coefficient exactly 1 on it
+    solver = _dense_solver if n < PENCIL_MIN_SIZE else _pencil_solver
+    a = as_complex_matrix(random_unit_disk(np.random.default_rng(5), n))
+    tables = build_tables(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+            for i, j in np.ndindex(n, n):
+                psi = np.eye(n, dtype=complex)
+                psi[i, j] = bad
+                assert not np.isfinite(solver(a, 16.0, tables)(psi)).all()
+        # 800 I at E = 128 overflows before its last element and stays so
+        step = solver(as_complex_matrix(800.0 * np.eye(n)), 256.0, tables)
+        psi = np.eye(n)
+        finite = []
+        for _ in range(128):
+            psi = step(psi)
+            finite.append(bool(np.isfinite(psi).all()))
+    first = finite.index(False)
+    assert first < 127 and not any(finite[first:])
 
 
 def spectral_scaled(rng, n, norm):
@@ -295,7 +331,7 @@ def test_pencil_solve_matches_kronecker_loop():
     # n >= PENCIL_MIN_SIZE takes the pencil solve; the dense Kronecker loop is
     # its oracle, equal in exact arithmetic, so the two agree to rounding
     rng = np.random.default_rng(1616)
-    for n in (6, 8, 16, 24, 32):
+    for n in (3, 4, 5, 6, 8, 16, 24, 32):
         a = spectral_scaled(rng, n, 4.0)
         for m in (1, 2, 5, 8, 16):
             for num_elements in (1, 3, 8):
@@ -309,7 +345,7 @@ def test_pencil_solve_matches_scipy_expm():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     # at spectral norm 1/2 one element with 8 functions is already converged
     rng = np.random.default_rng(3232)
-    for n in (6, 8, 16, 24, 32):
+    for n in (3, 4, 5, 6, 8, 16, 24, 32):
         a = spectral_scaled(rng, n, 0.5)
         reference = scipy_linalg.expm(a)
         scale = np.max(np.abs(reference))
@@ -319,7 +355,7 @@ def test_pencil_solve_matches_scipy_expm():
                 assert max_abs_diff(report.result, reference) <= 1e-12 * scale
 
 
-def test_solve_switches_to_the_pencil_at_six(monkeypatch):
+def test_solve_switches_to_the_pencil_at_three(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -327,21 +363,21 @@ def test_solve_switches_to_the_pencil_at_six(monkeypatch):
         return assemble_system(*args)
 
     monkeypatch.setattr("fetexpm.propagator.assemble_system", counting)
-    assert PENCIL_MIN_SIZE == 6
-    expm(np.eye(PENCIL_MIN_SIZE - 1) / 4.0)
+    assert PENCIL_MIN_SIZE == 3
+    expm(np.eye(2) / 4.0)
     assert len(calls) == 1
-    expm(np.eye(PENCIL_MIN_SIZE) / 4.0)
+    expm(np.eye(3) / 4.0)
     assert len(calls) == 1
 
 
 def test_pencil_is_built_only_for_the_pencil_solve():
     m = 43  # a basis count no other test reaches, so its tables start bare
     tables = build_tables(m)
-    expm(np.eye(5) / 4.0, 1, m)
+    expm(np.eye(2) / 4.0, 1, m)
     assert "pencil" not in vars(tables)
-    expm(np.eye(6) / 4.0, 1, m)
+    expm(np.eye(3) / 4.0, 1, m)
     pencil = vars(tables)["pencil"]
-    expm(np.eye(6) / 2.0, 1, m)
+    expm(np.eye(3) / 2.0, 1, m)
     assert build_tables(m).pencil is pencil
 
 
@@ -372,13 +408,14 @@ def test_pencil_set_up_check_stops_overflow_before_inverting(monkeypatch, unit):
     above = limit * (1.0 + 4.0 * float(finfo.eps))
     below = limit * (1.0 - 4.0 * float(finfo.eps))
     assert math.isinf(math.pi * above) and math.isfinite(math.pi * below)
-    a = np.zeros((6, 6), dtype=complex)
-    a[2, 3] = unit * above
-    with pytest.raises(OverflowError, match="block system"):
-        expm(a)
-    a[2, 3] = unit * below
-    with pytest.raises(RuntimeError, match="inverted"):
-        expm(a)
+    for size in (3, 6):
+        a = np.zeros((size, size), dtype=complex)
+        a[1, 2] = unit * above
+        with pytest.raises(OverflowError, match="block system"):
+            expm(a)
+        a[1, 2] = unit * below
+        with pytest.raises(RuntimeError, match="inverted"):
+            expm(a)
 
 
 def test_results_own_their_memory():
@@ -438,9 +475,9 @@ def test_pencil_solve_factors_once_per_call(monkeypatch):
 @pytest.mark.parametrize("num_elements", [8, 16, 58])
 def test_pencil_solve_keeps_the_stiff_block_accurate(num_elements):
     # m1 is Moler and Van Loan's stiff example (eigenvalues -1 and -25);
-    # three, four or eight copies of it on the diagonal take the pencil
+    # two, three, four or eight copies of it on the diagonal take the pencil
     # solve, which must keep the dense solve's accuracy on it
-    for copies in (3, 4, 8):
+    for copies in (2, 3, 4, 8):
         a = np.kron(np.eye(copies), m1())
         exact = np.kron(np.eye(copies), exact_m1())
         for m in (8, 12, 16):
