@@ -37,6 +37,8 @@ def _tokenize(text: str, line_no: int):
             i += 1
             continue
         start = i
+        if tokens and not text[i - 1].isspace():
+            raise MatrixParseError("entries must be separated by whitespace", line_no, start + 1)
         if ch == "(":
             end = text.find(")", i)
             if end < 0:

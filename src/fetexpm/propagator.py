@@ -20,11 +20,10 @@ column ``j`` of ``psi``.  Written with the coefficients as an (m, n) stack
 ``X`` of n x n blocks, this is the generalized Sylvester equation
 ``scale * deriv @ X - overlap @ (a X) = load (a psi_prev)``.
 
-``expm`` runs the one element loop, ``psi = step(psi)``, and picks by
-``n`` the solver that builds ``step``, a function from an element's start
-state to its end state.  The system depends only on ``a``, the element width
-``2 / scale`` and ``m``, so each solver builds its part once and reuses it on
-every element:
+``expm`` picks by ``n`` one of two propagate functions, each of which
+starts from ``psi(0) = I`` and marches all elements.  The system depends only
+on ``a``, the element width ``2 / scale`` and ``m``, so each builds its part
+once and reuses it on every element:
 
 * ``n <= 2``, the dense solve: the (n*m) x (n*m) system matrix is assembled
   once, then each element assembles its right-hand side, solves for all
@@ -42,7 +41,7 @@ every element:
   coupling matrix that forms every ``u_k``, built once per m with the Schur
   form.  The m shifted blocks are inverted once per call, so an element is
   2m matrix products and m + 1 row combinations, O(m n^3) instead of
-  O((n m)^3), and its state stays in the solver's work buffer.
+  O((n m)^3), and its state stays in two work buffers.
 
 The switch sits where the pencil solve overtakes the dense one: at n = 2
 one LAPACK call per element costs less than m Python-level steps, and from
@@ -54,18 +53,18 @@ end value.  Overflow is checked once per phase and raises ``OverflowError``:
 at set-up, the block system ("block system"), and after the last element,
 the state ("solution").  IEEE arithmetic carries inf and NaN forward, so an
 overflow anywhere inside an element shows in its end value, and a
-non-finite state stays non-finite: the dense step adds to ``psi_prev`` and
-the pencil step's end row has coefficient exactly 1 on it.  The pencil
+non-finite state stays non-finite: the dense solve adds to ``psi_prev`` and
+the pencil solve's end row has coefficient exactly 1 on it.  The pencil
 solve's set-up check runs before it inverts.  An exactly singular block
 system (dense) or shifted block (pencil) raises
 ``numpy.linalg.LinAlgError``.
 
 ``expm`` is the one place that checks input: it converts ``a`` once, which
-checks its shape, and checks the counts.  The solvers and assembly kernels
-take those checked arrays as they are and check nothing again.
+checks its shape, and checks the counts.  The propagate functions and
+assembly kernels take those checked arrays as they are and check nothing
+again.
 """
 
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -169,55 +168,45 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
 
     # equal elements of width 1/E map onto [-1, 1] with scale 2E
     scale = 2.0 * num_elements
-    solver = _pencil_solver if a.shape[0] >= PENCIL_MIN_SIZE else _dense_solver
-    step = solver(a, scale, tables)
-    psi = np.eye(a.shape[0], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(num_elements):
-            psi = step(psi)
+    propagate = _pencil_propagate if a.shape[0] >= PENCIL_MIN_SIZE else _dense_propagate
+    psi = propagate(a, scale, tables, num_elements)
     if not np.isfinite(psi).all():
         raise OverflowError("solution overflowed to non-finite values")
-    # the pencil step's state is a view of its work buffer; a copy lets the
-    # result own its memory instead of keeping the whole buffer alive
-    return ExpmReport(result=psi.copy(), num_elements=num_elements, num_basis=tables.m)
+    return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
 
 
-def _dense_solver(a: np.ndarray, scale: float, tables: BasisTables):
-    """The dense solve: a function from an element's start state to its end state.
+def _dense_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elements: int):
+    """The dense solve: ``psi`` after ``num_elements`` elements from the identity.
 
     One system matrix serves all elements, since ``a`` is constant; each
     element solves it for all ``n`` columns with one LAPACK call.
     """
     n = a.shape[0]
     system = assemble_system(a, scale, tables)
+    psi = np.eye(n, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(num_elements):
+            coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
+            # coefficients regrouped as (column, basis, row): one contiguous
+            # (m, n) block per column, evaluated at local time +1
+            per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
+            psi = psi + (tables.end_vals @ per_col).T
+    return psi
 
-    def step(psi: np.ndarray) -> np.ndarray:
-        coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
-        # coefficients regrouped as (column, basis, row): one contiguous
-        # (m, n) block per column, evaluated at local time +1
-        per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
-        return psi + (tables.end_vals @ per_col).T
 
-    return step
-
-
-def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
-    """The pencil solve: a function from an element's start state to its end state.
+def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elements: int):
+    """The pencil solve: ``psi`` after ``num_elements`` elements from the identity.
 
     The stacked rows ``[Y[0] ... Y[m - 1], psi]`` of a work buffer, each an
     n x n block flattened, are combined by the rows of the (m + 1) x (m + 1)
     coupling matrix ``[[r, load'], [end', 1]]`` (``PencilSchur.coupling``).
-    Step ``k`` solves
-    ``(scale I - r[k, k] a) Y[k] = a u_k``, where row ``k`` gives
-    ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]``, and row ``m``
-    gives the end state ``psi + end' Y``.  The shifted blocks are the same on
-    every element, so they are inverted once; an element is then 2m matrix
-    products and m + 1 row combinations.
-
-    The state lives in the work buffer: there are two, and each element reads
-    its start state from one and writes its end state into the other, which
-    the next element reads.  The function returns that end-state view, so a
-    caller that feeds it back copies nothing.
+    Step ``k`` solves ``(scale I - r[k, k] a) Y[k] = a u_k``, where row ``k``
+    gives ``u_k = load'[k] psi + sum over j > k of r[k, j] Y[j]``, and row
+    ``m`` gives the end state ``psi + end' Y``.  The shifted blocks are the
+    same on every element, so they are inverted once; an element is then 2m
+    matrix products and m + 1 row combinations.  The two work buffers
+    alternate by element parity: element ``e`` reads its start state from
+    buffer ``e % 2`` and writes its end state into the other.
     """
     n = a.shape[0]
     m = tables.m
@@ -249,36 +238,22 @@ def _pencil_solver(a: np.ndarray, scale: float, tables: BasisTables):
     end_combine = coupling[m].dot
     work = np.empty((2, m + 1, n * n), dtype=np.complex128)
     blocks = work.reshape(2, m + 1, n, n)
-    # one view object per state row: a step returns the one the next step
-    # recognises as its own start state
-    states = [blocks[0, m], blocks[1, m]]
+    blocks[0, m] = np.eye(n)
     u_rows = np.empty(n * n, dtype=np.complex128)
     u_k = u_rows.reshape(n, n)
     rhs = np.empty((n, n), dtype=np.complex128)
-    # per buffer: its state, the steps k = m - 1 down to 0 (coupling row,
-    # tail rows, inverse block, output block), its rows, and the other
-    # buffer's state row, flat and as the n x n view the next element reads
-    plans = itertools.cycle([
-        (
-            states[p],
-            [(couples[k], rows[k + 1:], solves[k], blocks[p, k]) for k in range(m - 1, -1, -1)],
-            rows,
-            work[1 - p, m],
-            states[1 - p],
-        )
+    # per buffer: its steps k = m - 1 down to 0, its rows and the other buffer's state row
+    plans = [
+        ([(couples[k], rows[k + 1:], solves[k], blocks[p, k]) for k in range(m - 1, -1, -1)],
+         rows, work[1 - p, m])
         for p, rows in enumerate(work)
-    ])
-
-    def step(psi: np.ndarray) -> np.ndarray:
-        state, back_substitution, rows, end_rows, end_state = next(plans)
-        if psi is not state:
-            # a start state from outside, such as the first element's identity
-            state[...] = psi
-        for couple, tail, solve, y_k in back_substitution:
-            couple(tail, out=u_rows)
-            times_a(u_k, out=rhs)
-            solve(rhs, out=y_k)
-        end_combine(rows, out=end_rows)
-        return end_state
-
-    return step
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(num_elements):
+            back_substitution, rows, end_rows = plans[e & 1]
+            for couple, tail, solve, y_k in back_substitution:
+                couple(tail, out=u_rows)
+                times_a(u_k, out=rhs)
+                solve(rhs, out=y_k)
+            end_combine(rows, out=end_rows)
+    return blocks[num_elements & 1, m].copy()

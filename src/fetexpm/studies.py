@@ -4,6 +4,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dense import as_complex_matrix, max_abs_diff
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
 from .propagator import expm
@@ -39,9 +41,14 @@ def min_basis_for_tolerance(
     max_basis = operator.index(max_basis)
     if max_basis < 1:
         raise ValueError(f"max_basis must be >= 1, got {max_basis}")
+    a = as_complex_matrix(a)
+    reference = as_complex_matrix(reference)
+    if a.shape != reference.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {reference.shape}")
     for m in range(1, max_basis + 1):
         report = expm(a, num_elements=num_elements, num_basis=m)
-        if max_abs_diff(report.result, reference) <= tolerance:
+        # max_abs_diff on matrices already checked, without converting them again
+        if np.max(np.abs(report.result - reference)) <= tolerance:
             return m
     return None
 

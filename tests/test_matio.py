@@ -82,6 +82,19 @@ def test_unterminated_group_and_bad_pair():
         parse_matrix("1\n(1,2,3)\n")
 
 
+def test_entries_must_be_separated_by_whitespace():
+    # the error points at the second of two touching entries
+    for text, line, column in [
+        ("2\n(1,2)(3,4)\n1 2", 2, 6),
+        ("2\n1(3,4)\n1 2", 2, 2),
+        ("1\n(1,2))", 2, 6),
+        ("2\n1 2\n3 (4 5)6", 3, 8),
+    ]:
+        with pytest.raises(MatrixParseError, match="separated by whitespace") as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_non_finite_rejected():
     with pytest.raises(MatrixParseError, match="non-finite"):
         parse_matrix("1\nnan\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fetexpm import min_basis_for_tolerance, studies, sweep, table1
-from fetexpm.oracles import exact_m2, m2, m3, m4
+from fetexpm.oracles import exact_m1, exact_m2, m1, m2, m3, m4
 
 
 def test_min_basis_finds_known_value():
@@ -30,6 +30,24 @@ def test_min_basis_rejects_bad_max_basis():
         min_basis_for_tolerance(m2(), exact_m2(), num_elements=4, max_basis=8.5)
     with pytest.raises(TypeError):
         table1("m2", max_basis=8.5)
+
+
+def test_min_basis_checks_the_reference_before_any_expm(monkeypatch):
+    calls = []
+    real = studies.expm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "expm", counting)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        min_basis_for_tolerance(m1(), np.zeros((3, 3)), 8)
+    reference = exact_m1()
+    reference[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        min_basis_for_tolerance(m1(), reference, 8)
+    assert calls == []
 
 
 def test_table1_shape_and_row_order():
