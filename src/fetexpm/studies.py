@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_complex_matrix, max_abs_diff
+from .dense import as_complex_matrix
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
 from .propagator import expm
 
@@ -97,7 +97,7 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
             StudyRow(
                 num_elements=num_elements,
                 num_basis=num_basis,
-                max_abs_error=max_abs_diff(report.result, reference),
+                max_abs_error=float(np.max(np.abs(report.result - reference))),
                 selected_entry=complex(report.result[row, col]),
             )
         )

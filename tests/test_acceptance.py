@@ -6,19 +6,14 @@ on failure) and asserts the criterion at its stated tolerance.
 
 import numpy as np
 
+from brute_force import brute_force_rhs, brute_force_system
 from chebyshev_oracle import integrated_chebyshev
 from random_matrices import random_unit_disk
-from fetexpm import (
-    expm,
-    expm_taylor_squaring,
-    format_matrix,
-    max_abs_diff,
-    min_basis_for_tolerance,
-    parse_matrix,
-)
+from fetexpm import expm, expm_taylor_squaring, format_matrix, max_abs_diff, parse_matrix
 from fetexpm.basis import build_tables
 from fetexpm.cli import main
 from fetexpm.oracles import exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
+from fetexpm.studies import min_basis_for_tolerance
 
 
 def check(name, ok, detail):
@@ -147,27 +142,11 @@ def test_criterion_8_assembly_matches_brute_force_bitwise():
             tables = build_tables(m)
             scale = 2.0 * n + 4.0
             system = assemble_system(a, scale, tables)
-            brute = np.empty((n * m, n * m), dtype=complex)
-            for mu_row in range(m):
-                for i in range(n):
-                    for mu_col in range(m):
-                        for k in range(n):
-                            val = scale * tables.deriv[mu_row, mu_col] if i == k else 0.0
-                            brute[mu_row * n + i, mu_col * n + k] = (
-                                val - a[i, k] * tables.overlap[mu_row, mu_col]
-                            )
-            ok = ok and (system == brute).all()
+            ok = ok and (system == brute_force_system(a, scale, tables)).all()
             rhs = assemble_rhs(a, psi, tables.load)
             ok = ok and rhs.shape == (n * m, n)
             for col in range(n):
-                brute_rhs = np.empty(n * m, dtype=complex)
-                for mu_row in range(m):
-                    for i in range(n):
-                        acc = 0.0 + 0.0j
-                        for k in range(n):
-                            acc += a[i, k] * psi[k, col]
-                        brute_rhs[mu_row * n + i] = tables.load[mu_row] * acc
-                ok = ok and (rhs[:, col] == brute_rhs).all()
+                ok = ok and (rhs[:, col] == brute_force_rhs(a, psi, tables.load, col)).all()
     check("C8 brute-force assembly equivalence", bool(ok), "bitwise for n<=3, m<=4")
 
 

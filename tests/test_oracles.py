@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fetexpm import NAMED_MATRICES, expm_taylor_squaring, max_abs_diff
-from fetexpm.oracles import exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
+from fetexpm import expm_taylor_squaring, max_abs_diff
+from fetexpm.oracles import NAMED_MATRICES, exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
 
 
 def test_zero_matrix_gives_identity_exactly():

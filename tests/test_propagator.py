@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from brute_force import brute_force_rhs, brute_force_system
 from random_matrices import random_unit_disk
 from fetexpm import expm, expm_taylor_squaring, max_abs_diff
 from fetexpm.basis import build_tables
@@ -17,33 +18,6 @@ from fetexpm.propagator import (
     assemble_rhs,
     assemble_system,
 )
-
-
-def brute_force_system(a, scale, tables):
-    n = a.shape[0]
-    m = tables.m
-    out = np.empty((n * m, n * m), dtype=complex)
-    for mu_row in range(m):
-        for i in range(n):
-            for mu_col in range(m):
-                for k in range(n):
-                    val = (scale * tables.deriv[mu_row, mu_col] if i == k else 0.0)
-                    val = val - a[i, k] * tables.overlap[mu_row, mu_col]
-                    out[mu_row * n + i, mu_col * n + k] = val
-    return out
-
-
-def brute_force_rhs(a, psi_prev, load, col):
-    n = a.shape[0]
-    m = len(load)
-    out = np.empty(n * m, dtype=complex)
-    for mu_row in range(m):
-        for i in range(n):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                acc += a[i, k] * psi_prev[k, col]
-            out[mu_row * n + i] = load[mu_row] * acc
-    return out
 
 
 def test_system_for_zero_matrix_is_scaled_kron():

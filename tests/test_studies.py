@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fetexpm import min_basis_for_tolerance, studies, sweep, table1
+from fetexpm import studies
+from fetexpm.studies import min_basis_for_tolerance, sweep, table1
 from fetexpm.oracles import exact_m1, exact_m2, m1, m2, m3, m4
 
 
