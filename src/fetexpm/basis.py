@@ -17,10 +17,11 @@ and all table entries come out in closed form.  The test suite checks them
 against Gauss-Chebyshev quadrature of pointwise-evaluated basis functions;
 those pointwise evaluators live there, not here.
 
-``BasisTables.pencil`` triangularises ``deriv^-1 overlap`` with one unitary
-matrix, a Schur form built by deflation with numpy alone, on first use and
-then kept with the tables.  It lets the element solve for all but the
-smallest matrices back-substitute over the basis index (see ``propagator``).
+``BasisTables.pencil`` is the coupling matrix of the pencil solve: the Schur
+form of ``deriv^-1 overlap``, built by deflation with numpy alone, bordered
+by the transformed load and end values.  It is built on first use and then
+kept with the tables, and lets the element solve for all but the smallest
+matrices back-substitute over the basis index (see ``propagator``).
 """
 
 import functools
@@ -51,26 +52,7 @@ def _integrated_coeffs(m: int) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class PencilSchur:
-    """Schur form of ``T = deriv^-1 overlap``, the pencil ``(deriv, overlap)`` of one basis size.
-
-    u        -- unitary (m x m) with ``u @ r @ u^H == T`` up to rounding
-    r        -- ``u^H T u``, exactly upper triangular
-    coupling -- ``[[r, load'], [end', 1]]``, (m + 1) x (m + 1), with ``r`` a
-                view of it; ``load' = u^H deriv^-1 load == conj(u[0, :])``
-                as ``load`` is the first column of ``deriv``, and ``end' =
-                u^T end_vals``, the end values in the transformed basis
-
-    Like the tables it depends only on ``m`` and is immutable.
-    """
-
-    u: np.ndarray
-    r: np.ndarray
-    coupling: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisTables:
     """Weighted projection tables for a basis of ``m`` integrated functions.
 
@@ -91,8 +73,15 @@ class BasisTables:
     # built on first use: at m = 1..40 the pencils cost about a hundred times
     # the tables, and only the pencil solve reads them
     @functools.cached_property
-    def pencil(self) -> PencilSchur:
-        """Schur form of ``deriv^-1 overlap``, built once per tables."""
+    def pencil(self) -> np.ndarray:
+        """The coupling matrix ``[[r, load'], [end', 1]]``, (m + 1) x (m + 1), built once per tables.
+
+        ``r = u^H T u`` is the Schur form of ``T = deriv^-1 overlap``, exactly
+        upper triangular, with ``u`` unitary; ``load' = u^H deriv^-1 load ==
+        conj(u[0, :])`` as ``load`` is the first column of ``deriv``, and
+        ``end' = u^T end_vals`` holds the end values in the transformed basis.
+        Like the tables it depends only on ``m`` and is read-only.
+        """
         m = self.m
         r = np.linalg.solve(self.deriv, self.overlap).astype(np.complex128)
         u = np.eye(m, dtype=np.complex128)
@@ -110,9 +99,8 @@ class BasisTables:
         coupling[:m, m] = u[0].conj()
         coupling[m, :m] = u.T @ self.end_vals
         coupling[m, m] = 1.0
-        for arr in (u, coupling):
-            arr.setflags(write=False)
-        return PencilSchur(u=u, r=coupling[:m, :m], coupling=coupling)
+        coupling.setflags(write=False)
+        return coupling
 
 
 def build_tables(m: int) -> BasisTables:

@@ -3,8 +3,7 @@
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128``.
 ``as_complex_matrix`` is the boundary check every public entry point uses,
 and the one place that requires a non-empty square matrix;
-``max_abs_diff`` is the accuracy metric.  Linear solves go straight to
-LAPACK through ``numpy.linalg``.
+``max_abs_diff`` compares two of them.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ def as_complex_matrix(data) -> np.ndarray:
 
 
 def max_abs_diff(a, b) -> float:
-    """Largest entrywise modulus of ``a - b``; the accuracy metric used throughout."""
+    """Largest entrywise modulus of ``a - b``."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     if a.shape != b.shape:

@@ -8,6 +8,7 @@ written back with 17 significant digits, which round-trips doubles exactly.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -27,28 +28,20 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
+# a parenthesized group, closed or not, or a run of other non-space characters
+_TOKEN = re.compile(r"\([^)]*\)?|[^\s(]+")
+
+
 def _tokenize(text: str, line_no: int):
     """Split one line into (token, line, column) triples; parens group."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if tokens and not text[i - 1].isspace():
-            raise MatrixParseError("entries must be separated by whitespace", line_no, start + 1)
-        if ch == "(":
-            end = text.find(")", i)
-            if end < 0:
-                raise MatrixParseError("unterminated '('", line_no, start + 1)
-            tokens.append((text[i : end + 1], line_no, start + 1))
-            i = end + 1
-        else:
-            while i < len(text) and not text[i].isspace() and text[i] != "(":
-                i += 1
-            tokens.append((text[start:i], line_no, start + 1))
+    for match in _TOKEN.finditer(text):
+        token, column = match.group(), match.start() + 1
+        if tokens and not text[match.start() - 1].isspace():
+            raise MatrixParseError("entries must be separated by whitespace", line_no, column)
+        if token.startswith("(") and not token.endswith(")"):
+            raise MatrixParseError("unterminated '('", line_no, column)
+        tokens.append((token, line_no, column))
     return tokens
 
 

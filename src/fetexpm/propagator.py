@@ -20,13 +20,14 @@ then marches every element from ``psi(0) = I``:
   and each element solves it for all ``n`` columns with one LAPACK call.
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
-  ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H``
-  (``BasisTables.pencil``) makes it block upper triangular in ``Y = u^H X``
-  (Bartels and Stewart, 1972): each element solves
-  ``(scale I - r[k, k] a) Y[k] = a u_k`` for ``k = m - 1`` down to 0, where
-  ``u_k`` combines ``psi_prev`` and the ``Y[j]`` already solved, and its end
-  value is one more such combination.  The shifted blocks are inverted once
-  per call, so an element costs O(m n^3), not O((n m)^3).
+  ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
+  upper triangular in ``Y = u^H X`` (Bartels and Stewart, 1972): each element
+  solves ``(scale I - r[k, k] a) Y[k] = a u_k`` for ``k = m - 1`` down to 0,
+  where ``u_k`` combines ``psi_prev`` and the ``Y[j]`` already solved, and its
+  end value is one more such combination.  All these combinations are rows of
+  one coupling matrix ``[[r, load'], [end', 1]]`` (``BasisTables.pencil``).
+  The shifted blocks are inverted once per call, so an element costs
+  O(m n^3), not O((n m)^3).
 
 The switch sits at n = 3: at n = 2 one LAPACK call per element costs less than
 m Python-level steps, and from n = 3 the pencil solve ties or wins (timings in
@@ -46,7 +47,7 @@ from .dense import as_complex_matrix
 PENCIL_MIN_SIZE = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpmReport:
     """Result of a full propagation and the element and basis counts that produced it."""
 
@@ -151,16 +152,15 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
     """The pencil solve: ``psi`` after ``num_elements`` elements from the identity.
 
     A work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row ``k < m``
-    forms ``u_k`` from it and row ``m`` the end state.  Element ``e`` reads
-    buffer ``e % 2`` and writes its end state into the other.
+    forms ``u_k`` from it and row ``m`` the end state, which replaces ``psi``.
     """
     n = a.shape[0]
     m = tables.m
-    coupling = tables.pencil.coupling
+    coupling = tables.pencil
     diag = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # the diagonal blocks of the triangularised system, one per basis step
-        shifted = np.multiply.outer(-np.diagonal(tables.pencil.r), a)
+        shifted = np.multiply.outer(-np.diagonal(coupling)[:m], a)
         shifted[:, diag, diag] += scale
         # the first element's right-hand sides are load[k] a (a @ I is a exactly),
         # with real load, max |load| = load[0] = pi and every |r[k, k]| <= 1.5 (at
@@ -170,30 +170,26 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
     if not np.isfinite(first_rhs).all():
         raise OverflowError("block system overflowed to non-finite values")
     inverse = np.linalg.inv(shifted)
-    # ndarray.dot bound once skips np.dot's dispatch, dearer than the arithmetic
-    # at small n; every operand is C-contiguous complex128, no output aliases an input
-    couples = [coupling[k, k + 1:].dot for k in range(m)]
-    solves = [block.dot for block in inverse]
-    times_a = a.dot
-    end_combine = coupling[m].dot
-    work = np.empty((2, m + 1, n * n), dtype=np.complex128)
-    blocks = work.reshape(2, m + 1, n, n)
-    blocks[0, m] = np.eye(n)
+    state = np.empty((m + 1, n * n), dtype=np.complex128)
+    blocks = state.reshape(m + 1, n, n)
+    blocks[m] = np.eye(n)
     u_rows = np.empty(n * n, dtype=np.complex128)
     u_k = u_rows.reshape(n, n)
     rhs = np.empty((n, n), dtype=np.complex128)
-    # per buffer: its steps k = m - 1 down to 0, its rows and the other buffer's state row
-    plans = [
-        ([(couples[k], rows[k + 1:], solves[k], blocks[p, k]) for k in range(m - 1, -1, -1)],
-         rows, work[1 - p, m])
-        for p, rows in enumerate(work)
+    # ndarray.dot bound once skips np.dot's dispatch, dearer than the arithmetic
+    # at small n; every operand is C-contiguous complex128, no output aliases an input
+    times_a = a.dot
+    end_combine = coupling[m].dot
+    back_substitution = [
+        (coupling[k, k + 1:].dot, state[k + 1:], inverse[k].dot, blocks[k])
+        for k in range(m - 1, -1, -1)
     ]
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(num_elements):
-            back_substitution, rows, end_rows = plans[e & 1]
+        for _ in range(num_elements):
             for couple, tail, solve, y_k in back_substitution:
                 couple(tail, out=u_rows)
                 times_a(u_k, out=rhs)
                 solve(rhs, out=y_k)
-            end_combine(rows, out=end_rows)
-    return blocks[num_elements & 1, m].copy()
+            end_combine(state, out=u_rows)
+            state[m] = u_rows
+    return blocks[m].copy()

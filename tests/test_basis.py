@@ -147,31 +147,35 @@ def test_tables_are_cached_per_checked_count():
 def test_pencil_schur_triangularises_the_tables():
     for m in range(1, 41):
         tables = build_tables(m)
-        schur = tables.pencil
-        eye = np.eye(m)
-        assert (np.tril(schur.r, -1) == 0.0).all()
-        assert np.max(np.abs(schur.u.conj().T @ schur.u - eye)) <= 1e-14
-        # u r u^H is deriv^-1 overlap, so deriv times it gives overlap back
-        overlap_back = tables.deriv @ schur.u @ schur.r @ schur.u.conj().T
-        assert np.max(np.abs(overlap_back - tables.overlap)) <= 1e-14 * np.max(np.abs(tables.overlap))
-        # the coupling matrix [[r, load'], [end', 1]] holds r and the
-        # vectors, which undo their transforms: u load' = deriv^-1 load = e_0,
-        # conj(u) end' = end_vals
-        coupling = schur.coupling
-        assert coupling.shape == (m + 1, m + 1) and coupling[m, m] == 1.0
-        assert np.shares_memory(schur.r, coupling) and (coupling[:m, :m] == schur.r).all()
-        assert np.max(np.abs(schur.u @ coupling[:m, m] - eye[0])) <= 1e-14
-        assert np.max(np.abs(schur.u.conj() @ coupling[m, :m] - tables.end_vals)) <= 1e-14 * 2.0
+        coupling = tables.pencil
+        assert coupling.shape == (m + 1, m + 1) and coupling.dtype == np.complex128
+        r, load_t, end_t = coupling[:m, :m], coupling[:m, m], coupling[m, :m]
+        assert (np.tril(r, -1) == 0.0).all()
+        # the end row's coefficient on the state is exactly 1, so a
+        # non-finite state stays non-finite
+        assert coupling[m, m] == 1.0
+        # one element of width 1 maps a scalar z's state by
+        # 1 + z end_vals^T (2 deriv - z overlap)^-1 load, and in the Schur
+        # basis by 1 + z end'^T (2 I - z r)^-1 load'; both are rational of
+        # degree m, so agreement at 4m + 4 points pins r, load' and end'
+        # (every |r[k, k]| <= 1.5 keeps the poles 2 / r[k, k] off |z| <= 1)
+        angles = 2.0 * np.pi * (np.arange(2 * m + 2) + 0.5) / (2 * m + 2)
+        for z in np.concatenate([0.5 * np.exp(1j * angles), np.exp(1j * angles)]):
+            from_tables = 1.0 + z * tables.end_vals @ np.linalg.solve(
+                2.0 * tables.deriv - z * tables.overlap, tables.load
+            )
+            from_coupling = 1.0 + z * end_t @ np.linalg.solve(2.0 * np.eye(m) - z * r, load_t)
+            assert abs(from_coupling - from_tables) <= 1e-14 * abs(from_tables)
 
 
 def test_pencil_schur_is_cached_and_read_only():
     # the pencil lives on the cached tables, so the count check in
     # build_tables is the only one it needs
     tables = build_tables(8)
-    schur = tables.pencil
-    assert tables.pencil is schur
-    assert build_tables(np.int64(8)).pencil is schur
-    for arr in (schur.u, schur.r, schur.coupling):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    coupling = tables.pencil
+    assert type(coupling) is np.ndarray and coupling.shape == (9, 9)
+    assert tables.pencil is coupling
+    assert build_tables(np.int64(8)).pencil is coupling
+    assert not coupling.flags.writeable
+    with pytest.raises(ValueError):
+        coupling[0] = 1.0

@@ -305,6 +305,48 @@ def test_pencil_solve_matches_kronecker_loop():
                 assert max_abs_diff(report.result, reference) <= 1e-13 * scale
 
 
+def plain_pencil_expm(a, num_elements, num_basis):
+    """The pencil solve written plainly: fresh arrays and one ``np.dot`` per product.
+
+    It reads only the coupling matrix ``tables.pencil`` and inverts each
+    shifted block on its own, so ``expm``'s bound methods, shared work buffer
+    and stacked inverse must reproduce it bit for bit.
+    """
+    n = a.shape[0]
+    m = num_basis
+    coupling = build_tables(m).pencil
+    scale = 2.0 * num_elements
+    inverses = []
+    for k in range(m):
+        block = -coupling[k, k] * a
+        for i in range(n):
+            block[i, i] += scale
+        inverses.append(np.linalg.inv(block))
+    psi = np.eye(n, dtype=complex)
+    for _ in range(num_elements):
+        # row k holds Y[k] flattened, row m the state
+        rows = np.zeros((m + 1, n * n), dtype=complex)
+        rows[m] = psi.ravel()
+        for k in range(m - 1, -1, -1):
+            u_k = np.dot(coupling[k, k + 1:], rows[k + 1:]).reshape(n, n)
+            rows[k] = np.dot(inverses[k], np.dot(a, u_k)).ravel()
+        psi = np.dot(coupling[m], rows).reshape(n, n)
+    return psi
+
+
+def test_pencil_solve_matches_plain_loop_bitwise():
+    # the Kronecker loop above agrees with the pencil solve only to rounding;
+    # this pins its bookkeeping to the bit
+    assert PENCIL_MIN_SIZE == 3
+    rng = np.random.default_rng(1818)
+    for n in (3, 4, 5, 8, 16):
+        a = as_complex_matrix(spectral_scaled(rng, n, 4.0))
+        for m in (1, 2, 5, 8, 16):
+            for num_elements in (1, 2, 3, 8):
+                report = expm(a, num_elements=num_elements, num_basis=m)
+                assert_array_equal(report.result, plain_pencil_expm(a, num_elements, m))
+
+
 def test_pencil_solve_matches_scipy_expm():
     scipy_linalg = pytest.importorskip("scipy.linalg")
     # at spectral norm 1/2 one element with 8 functions is already converged
@@ -380,6 +422,17 @@ def test_pencil_set_up_check_stops_overflow_before_inverting(monkeypatch, unit):
         a[1, 2] = unit * below
         with pytest.raises(RuntimeError, match="inverted"):
             expm(a)
+
+
+def test_reports_and_tables_compare_and_hash_by_identity():
+    # their array fields have no single truth value, so a generated __eq__
+    # would raise and a generated __hash__ would reject them
+    first, second = expm(np.eye(2)), expm(np.eye(2))
+    assert first == first and first != second
+    assert len({first, second}) == 2
+    tables = build_tables(8)
+    assert tables == build_tables(8) and tables != build_tables(9)
+    assert hash(tables) == hash(build_tables(8))
 
 
 def test_results_own_their_memory():
