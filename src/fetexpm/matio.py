@@ -1,10 +1,11 @@
 """Plain-text square-matrix files.
 
-Files are UTF-8 text.  Layout: any number of ``#`` comment lines, one
-header line holding the dimension ``n``, then exactly ``n`` rows of ``n``
-whitespace-separated entries.  A bare number is a real entry; a complex
-entry is a parenthesized pair, ``(re,im)`` or ``(re im)``.  Values are
-written back with 17 significant digits, which round-trips doubles exactly.
+Files are UTF-8 text; a leading byte-order mark is skipped.  Layout: any
+number of ``#`` comment lines, one header line holding the dimension ``n``,
+then exactly ``n`` rows of ``n`` whitespace-separated entries.  A bare number
+is a real entry; a complex entry is a parenthesized pair, ``(re,im)`` or
+``(re im)``.  Values are written back with 17 significant digits, which
+round-trips doubles exactly.
 """
 
 import math
@@ -115,21 +116,23 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read and parse a UTF-8 matrix file from disk."""
+    """Read and parse a UTF-8 matrix file from disk, with or without a byte-order mark."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc.strerror}") from exc
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # everything before the offending byte decodes; a sentinel character
+        # everything before the offending byte decodes (the codec reports its
+        # position in the bytes after any byte-order mark); a sentinel character
         # makes the last of its lines the offending byte's line, split as
         # parse_matrix splits, and its length the byte's 1-based column
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        body = exc.object
+        lines = (body[: exc.start].decode("utf-8-sig") + "?").splitlines()
         raise MatrixParseError(
-            f"not UTF-8 text: byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+            f"not UTF-8 text: byte 0x{body[exc.start]:02x}", len(lines), len(lines[-1])
         ) from None
     return parse_matrix(text)
 

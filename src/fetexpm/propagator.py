@@ -32,7 +32,8 @@ then marches every element from ``psi(0) = I``:
 The switch sits at n = 3: at n = 2 one LAPACK call per element costs less than
 m Python-level steps, and from n = 3 the pencil solve ties or wins (timings in
 ROADMAP and ``BENCH_*.json``); the two agree to rounding.  Only ``expm``
-checks input; its Raises section gives the overflow rules.
+checks input and decides overflow, by one rule for both solves (its Raises
+section); the functions here trust it.
 """
 
 import operator
@@ -57,20 +58,13 @@ class ExpmReport:
 
 
 def assemble_system(a: np.ndarray, scale: float, tables: BasisTables) -> np.ndarray:
-    """The (n*m) x (n*m) block system matrix, entry (mu', i), (mu, k) being
-    ``scale * deriv[mu', mu] * (i == k) - a[i, k] * overlap[mu', mu]``."""
+    """The (n*m) x (n*m) block system ``scale kron(deriv, I_n) - kron(overlap, a)``,
+    entry (mu', i), (mu, k) being ``scale deriv[mu', mu] (i == k) - overlap[mu', mu] a[i, k]``."""
     n = a.shape[0]
-    diag = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (mu', i, mu, k) layout; the i == k entries are written whole so
-        # each is the same one subtraction as in the Kronecker form
-        system = -(tables.overlap[:, None, :, None] * a[None, :, None, :])
-        on_diag = scale * tables.deriv - tables.overlap * np.diagonal(a)[:, None, None]
-        system[:, diag, :, diag] = on_diag
-    system = system.reshape(n * tables.m, n * tables.m)
-    if not np.isfinite(system).all():
-        raise OverflowError("block system overflowed to non-finite values")
-    return system
+    eye = np.eye(n)
+    system = ((scale * tables.deriv)[:, None, :, None] * eye[None, :, None, :]
+              - tables.overlap[:, None, :, None] * a[None, :, None, :])
+    return system.reshape(n * tables.m, n * tables.m)
 
 
 def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -107,12 +101,13 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     TypeError
         If a count is not an integer.
     OverflowError
-        Checked once per phase: the block system at set-up ("block system") and
-        the state after the last element ("solution"), which stays non-finite
+        Checked twice, by the same rules for every n.  Before either solve
+        starts ("block system"), if ``1.5 pi a`` is not finite: ``1.5 pi``
+        is the largest table entry, so that is when the block system
+        overflows, and it covers the pencil's shifted blocks too.  After the
+        last element ("solution"), if the state is not finite; it stays so
         once an overflow inside an element reaches it: the dense solve adds to
-        it, and the pencil's end row has coefficient exactly 1 on it.  For
-        n >= 3 the set-up check precedes the inversion, so an overflowing input
-        raises this even if a block is singular to working precision.
+        it, and the pencil's end row has coefficient exactly 1 on it.
     numpy.linalg.LinAlgError
         At set-up, if the block system or (n >= 3) a shifted block
         ``scale I - r[k, k] a`` is exactly singular: the element width times
@@ -128,7 +123,13 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
     # equal elements of width 1/E map onto [-1, 1] with scale 2E
     scale = 2.0 * num_elements
     propagate = _pencil_propagate if a.shape[0] >= PENCIL_MIN_SIZE else _dense_propagate
-    psi = propagate(a, scale, tables, num_elements)
+    # no |overlap| entry exceeds overlap[0, 0] = 1.5 pi and no pencil |r[k, k]|
+    # exceeds 1.5 (both pinned by tests), so this check covers the dense system,
+    # the shifted blocks and the first element's right-hand sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(tables.overlap[0, 0] * a).all():
+            raise OverflowError("block system overflowed to non-finite values")
+        psi = propagate(a, scale, tables, num_elements)
     if not np.isfinite(psi).all():
         raise OverflowError("solution overflowed to non-finite values")
     return ExpmReport(result=psi, num_elements=num_elements, num_basis=tables.m)
@@ -139,12 +140,11 @@ def _dense_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_eleme
     n = a.shape[0]
     system = assemble_system(a, scale, tables)
     psi = np.eye(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(num_elements):
-            coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
-            # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1
-            per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
-            psi = psi + (tables.end_vals @ per_col).T
+    for _ in range(num_elements):
+        coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
+        # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1
+        per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
+        psi = psi + (tables.end_vals @ per_col).T
     return psi
 
 
@@ -158,17 +158,9 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
     m = tables.m
     coupling = tables.pencil
     diag = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the diagonal blocks of the triangularised system, one per basis step
-        shifted = np.multiply.outer(-np.diagonal(coupling)[:m], a)
-        shifted[:, diag, diag] += scale
-        # the first element's right-hand sides are load[k] a (a @ I is a exactly),
-        # with real load, max |load| = load[0] = pi and every |r[k, k]| <= 1.5 (at
-        # m = 1), so a complex product's parts stay below pi max(|Re a|, |Im a|):
-        # when load[0] a is finite, so are all right-hand sides and blocks
-        first_rhs = tables.load[0] * a
-    if not np.isfinite(first_rhs).all():
-        raise OverflowError("block system overflowed to non-finite values")
+    # the diagonal blocks of the triangularised system, one per basis step
+    shifted = np.multiply.outer(-np.diagonal(coupling)[:m], a)
+    shifted[:, diag, diag] += scale
     inverse = np.linalg.inv(shifted)
     state = np.empty((m + 1, n * n), dtype=np.complex128)
     blocks = state.reshape(m + 1, n, n)
@@ -184,12 +176,11 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
         (coupling[k, k + 1:].dot, state[k + 1:], inverse[k].dot, blocks[k])
         for k in range(m - 1, -1, -1)
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(num_elements):
-            for couple, tail, solve, y_k in back_substitution:
-                couple(tail, out=u_rows)
-                times_a(u_k, out=rhs)
-                solve(rhs, out=y_k)
-            end_combine(state, out=u_rows)
-            state[m] = u_rows
+    for _ in range(num_elements):
+        for couple, tail, solve, y_k in back_substitution:
+            couple(tail, out=u_rows)
+            times_a(u_k, out=rhs)
+            solve(rhs, out=y_k)
+        end_combine(state, out=u_rows)
+        state[m] = u_rows
     return blocks[m].copy()

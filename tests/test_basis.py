@@ -151,6 +151,9 @@ def test_pencil_schur_triangularises_the_tables():
         assert coupling.shape == (m + 1, m + 1) and coupling.dtype == np.complex128
         r, load_t, end_t = coupling[:m, :m], coupling[:m, m], coupling[m, :m]
         assert (np.tril(r, -1) == 0.0).all()
+        # keeps the poles 2 / r[k, k] off |z| <= 1 below, and lets expm's
+        # set-up check (1.5 pi a finite) cover every shifted block
+        assert np.max(np.abs(np.diagonal(r))) <= 1.5
         # the end row's coefficient on the state is exactly 1, so a
         # non-finite state stays non-finite
         assert coupling[m, m] == 1.0
@@ -158,7 +161,6 @@ def test_pencil_schur_triangularises_the_tables():
         # 1 + z end_vals^T (2 deriv - z overlap)^-1 load, and in the Schur
         # basis by 1 + z end'^T (2 I - z r)^-1 load'; both are rational of
         # degree m, so agreement at 4m + 4 points pins r, load' and end'
-        # (every |r[k, k]| <= 1.5 keeps the poles 2 / r[k, k] off |z| <= 1)
         angles = 2.0 * np.pi * (np.arange(2 * m + 2) + 0.5) / (2 * m + 2)
         for z in np.concatenate([0.5 * np.exp(1j * angles), np.exp(1j * angles)]):
             from_tables = 1.0 + z * tables.end_vals @ np.linalg.solve(

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -182,3 +185,30 @@ def test_singular_block_system_exits_three(tmp_path, capsys):
     code, out, err = run_cli(capsys, "expm", str(path), "-E", "3", "-m", "1")
     assert code == 3 and out == ""
     assert "numerical failure" in err and "Singular" in err
+
+
+def readme_examples():
+    """Each ``$ fetexpm ...`` line of the README and the output printed under it.
+
+    The output runs to the next blank line or the end of the code block.
+    """
+    examples, command, lines = [], None, []
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines() + [""]:
+        if command is not None and (not line.strip() or line.startswith("```")):
+            examples.append((command, "".join(f"{item}\n" for item in lines)))
+            command, lines = None, []
+        elif command is not None:
+            lines.append(line)
+        elif line.startswith("$ fetexpm "):
+            command = line[len("$ fetexpm "):]
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert [command.split()[0] for command, _ in examples] == ["expm", "table1", "sweep"]
+    for command, expected in examples:
+        code, out, err = run_cli(capsys, *shlex.split(command))
+        assert (code, err) == (0, "")
+        assert out == expected, command

@@ -124,6 +124,29 @@ def test_load_matrix_reports_non_utf8_byte_position(tmp_path):
     assert (err.value.line, err.value.column) == (4, 4)
 
 
+def test_load_matrix_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    bom = b"\xef\xbb\xbf"
+    path.write_bytes(bom + b"2\n1 0\n0 1")
+    assert_array_equal(load_matrix(path), np.eye(2))
+    # a comment after the mark stays a comment, not the header
+    path.write_bytes(bom + b"# made elsewhere\n2\n1 0\n0 1\n")
+    assert_array_equal(load_matrix(path), np.eye(2))
+    # positions count from after the mark, as the parser counts them
+    path.write_bytes(bom + b"2\n1 \xff\n0 1\n")
+    with pytest.raises(MatrixParseError, match="0xff") as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (2, 3)
+    path.write_bytes(bom + b"\xff2\n")
+    with pytest.raises(MatrixParseError, match="0xff") as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (1, 1)
+    path.write_bytes(bom + b"2\n1 x\n0 1\n")
+    with pytest.raises(MatrixParseError, match="'x'") as err:
+        load_matrix(path)
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
 def test_load_matrix_roundtrip(tmp_path):
     path = tmp_path / "rot.txt"
     path.write_text(format_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])))

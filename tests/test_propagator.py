@@ -281,7 +281,9 @@ def test_non_finite_state_stays_non_finite(n):
     propagate = _dense_propagate if n < PENCIL_MIN_SIZE else _pencil_propagate
     a = as_complex_matrix(800.0 * np.eye(n))
     tables = build_tables(8)
-    finite = [bool(np.isfinite(propagate(a, 256.0, tables, e)).all()) for e in range(1, 129)]
+    # expm runs each solve under this errstate; called directly, it is the caller's
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = [bool(np.isfinite(propagate(a, 256.0, tables, e)).all()) for e in range(1, 129)]
     first = finite.index(False)
     assert first < 127 and not any(finite[first:])
 
@@ -394,34 +396,46 @@ def test_pencil_overflowing_input_is_reported():
         expm(np.full((16, 16), 1e308))
 
 
-def test_load_peaks_at_its_first_entry():
-    # the pencil's set-up overflow check scales a by load[0] alone; that
-    # covers every load[k] a because no |load[k]| exceeds load[0]
+def test_overlap_peaks_at_its_first_entry():
+    # expm's set-up overflow check scales a by overlap[0, 0] alone; that
+    # covers every entry of the block system because no |overlap| entry
+    # exceeds it (and no pencil |r[k, k]|, pinned in test_basis, exceeds 1.5)
     for m in range(1, 61):
-        load = build_tables(m).load
-        assert load[0] == np.pi == np.max(np.abs(load))
+        overlap = build_tables(m).overlap
+        assert overlap[0, 0] == 1.5 * np.pi == np.max(np.abs(overlap))
 
 
 @pytest.mark.parametrize("unit", [1.0, 1j])
-def test_pencil_set_up_check_stops_overflow_before_inverting(monkeypatch, unit):
-    def failing_inv(blocks):
-        raise RuntimeError("inverted")
+def test_set_up_check_stops_overflow_before_either_solve(monkeypatch, unit):
+    def failing(*args):
+        raise RuntimeError("reached the solve")
 
-    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    monkeypatch.setattr("fetexpm.propagator.assemble_system", failing)
+    monkeypatch.setattr(np.linalg, "inv", failing)
     # Python floats, which overflow to inf without a warning
     finfo = np.finfo(np.float64)
-    limit = float(finfo.max) / math.pi
+    limit = float(finfo.max) / (1.5 * math.pi)
     above = limit * (1.0 + 4.0 * float(finfo.eps))
     below = limit * (1.0 - 4.0 * float(finfo.eps))
-    assert math.isinf(math.pi * above) and math.isfinite(math.pi * below)
-    for size in (3, 6):
+    assert math.isinf(1.5 * math.pi * above) and math.isfinite(1.5 * math.pi * below)
+    # one rule at every size, for the dense solve (n = 1, 2) and the pencil
+    # solve (n = 3, 6) alike
+    for size in (1, 2, 3, 6):
         a = np.zeros((size, size), dtype=complex)
-        a[1, 2] = unit * above
+        a[-1, 0] = unit * above
         with pytest.raises(OverflowError, match="block system"):
             expm(a)
-        a[1, 2] = unit * below
-        with pytest.raises(RuntimeError, match="inverted"):
+        a[-1, 0] = unit * below
+        with pytest.raises(RuntimeError, match="reached the solve"):
             expm(a)
+    # 1.5 pi finfo.max / 4 overflows but pi finfo.max / 4 does not, so a check
+    # scaled by load[0] = pi lets these through: from n = 3 one such diagonal
+    # entry then gives a finite, wrong result and a full matrix a LinAlgError
+    big = unit * float(finfo.max) / 4.0
+    for size in (2, 3, 6, 16):
+        for a in (np.diag([big] + [0.0] * (size - 1)), np.full((size, size), big)):
+            with pytest.raises(OverflowError, match="block system"):
+                expm(a)
 
 
 def test_reports_and_tables_compare_and_hash_by_identity():

@@ -59,6 +59,17 @@ def test_table1_shape_and_row_order():
     assert found[8] == 7
 
 
+def test_table1_pins_every_row():
+    # every row the paper's study prints, at the default tolerance 1e-14 and
+    # max basis 40; the (m1, 5) row is 10 only because the error at m = 9 is
+    # 1.07e-14, so a rounding change at n <= 2 fails here first
+    assert {which: table1(which) for which in ("unit2", "m1", "m2")} == {
+        "unit2": [(1, 11), (2, 9), (4, 8), (8, 7), (16, 6), (58, 5)],
+        "m1": [(5, 10), (8, 7), (16, 6), (50, 5), (256, 5)],
+        "m2": [(1, 11), (2, 9), (4, 8), (8, 7), (15, 6), (40, 6)],
+    }
+
+
 def test_table1_rejects_unknown_matrix():
     with pytest.raises(ValueError):
         table1("m3")
