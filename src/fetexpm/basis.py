@@ -19,9 +19,10 @@ those pointwise evaluators live there, not here.
 
 ``BasisTables.pencil`` is the coupling matrix of the pencil solve: the Schur
 form of ``deriv^-1 overlap``, built by deflation with numpy alone, bordered
-by the transformed load and end values.  It is built on first use and then
-kept with the tables, and lets the element solve for all but the smallest
-matrices back-substitute over the basis index (see ``propagator``).
+by the transformed load and end values, and ``BasisTables.pencil_real`` its
+real form.  Each is built on first use and then kept with the tables, and
+lets the element solve for all but the smallest matrices back-substitute
+over the basis index (see ``propagator``).
 """
 
 import functools
@@ -29,6 +30,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dense import real_form
 
 
 def _integrated_coeffs(m: int) -> np.ndarray:
@@ -101,6 +104,21 @@ class BasisTables:
         coupling[m, m] = 1.0
         coupling.setflags(write=False)
         return coupling
+
+    @functools.cached_property
+    def pencil_real(self) -> np.ndarray:
+        """``pencil`` in real form, (2m + 2) x (2m + 2), built once per tables.
+
+        Each entry ``c`` becomes the 2 x 2 block ``[[Re c, -Im c], [Im c, Re c]]``
+        (``real_form``), so it combines basis blocks stored as stacked real and
+        imaginary parts, as the pencil solve does below
+        ``propagator.COMPLEX_MIN_SIZE``.
+        """
+        m = self.m
+        real = real_form(self.pencil[:, :, None, None]).transpose(0, 2, 1, 3)
+        real = real.reshape(2 * m + 2, 2 * m + 2)
+        real.setflags(write=False)
+        return real
 
 
 def build_tables(m: int) -> BasisTables:

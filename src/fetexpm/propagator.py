@@ -31,9 +31,23 @@ then marches every element from ``psi(0) = I``:
 
 The switch sits at n = 3: at n = 2 one LAPACK call per element costs less than
 m Python-level steps, and from n = 3 the pencil solve ties or wins (timings in
-ROADMAP and ``BENCH_*.json``); the two agree to rounding.  Only ``expm``
-checks input and decides overflow, by one rule for both solves (its Raises
-section); the functions here trust it.
+ROADMAP and ``BENCH_*.json``); the two agree to rounding.
+
+Below n = 40 (``COMPLEX_MIN_SIZE``) the pencil solve multiplies real forms.
+There a complex product costs more in call overhead than in arithmetic, and
+one real BLAS call on the same product's real form costs a third to a half
+as much.  The complex ``Z = X + iY`` becomes ``[[X, -Y], [Y, X]]``
+(``dense.real_form``), each block ``Y[k]`` the stacked ``[Re Y[k]; Im Y[k]]``
+and each coupling entry a 2 x 2 real block (``BasisTables.pencil_real``).
+That is the conventional complex product as four real ones, so it keeps its
+error bound, which the three-multiplication form does not (Higham, SIMAX
+1992).  The shifted blocks are still inverted as complex matrices and only
+then embedded.  From n = 40 the embedding's set-up copies and the larger
+real products cost more than they save, and at n = 64 complex ``zgemm`` beats
+every real variant, so the same loop runs on complex operands.
+
+Only ``expm`` checks input and decides overflow, by one rule for both solves
+(its Raises section); the functions here trust it.
 """
 
 import operator
@@ -42,10 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisTables, build_tables
-from .dense import as_complex_matrix
+from .dense import as_complex_matrix, real_form
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
 PENCIL_MIN_SIZE = 3
+# matrix size from which the pencil solve multiplies complex operands, not real forms
+COMPLEX_MIN_SIZE = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,27 +169,39 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
 
     A work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row ``k < m``
     forms ``u_k`` from it and row ``m`` the end state, which replaces ``psi``.
+    Set-up picks the operands by n alone, and the loop is the same for both.
+    Below ``COMPLEX_MIN_SIZE`` the buffer holds each block as the stacked real
+    ``[Re Y[k]; Im Y[k]]`` in ``p = 2`` of its rows, and ``a``, the inverses
+    and the coupling are bound in real form, so that each product is one
+    real BLAS call (the module docstring says why).  From it every operand
+    is complex and each block takes ``p = 1`` row.
     """
     n = a.shape[0]
     m = tables.m
-    coupling = tables.pencil
-    diag = np.arange(n)
-    # the diagonal blocks of the triangularised system, one per basis step
-    shifted = np.multiply.outer(-np.diagonal(coupling)[:m], a)
-    shifted[:, diag, diag] += scale
+    # the diagonal blocks of the triangularised system, one per basis step,
+    # inverted as complex matrices
+    shifted = -tables.pencil.diagonal()[:m, None, None] * a
+    shifted.reshape(m, n * n)[:, :: n + 1] += scale
     inverse = np.linalg.inv(shifted)
-    state = np.empty((m + 1, n * n), dtype=np.complex128)
-    blocks = state.reshape(m + 1, n, n)
-    blocks[m] = np.eye(n)
-    u_rows = np.empty(n * n, dtype=np.complex128)
-    u_k = u_rows.reshape(n, n)
-    rhs = np.empty((n, n), dtype=np.complex128)
+    # freed before the embedding below, which lowers the set-up's peak memory
+    del shifted
+    if n < COMPLEX_MIN_SIZE:
+        p, coupling, a, inverse = 2, tables.pencil_real, real_form(a), real_form(inverse)
+    else:
+        p, coupling = 1, tables.pencil
+    state = np.zeros((p * (m + 1), n * n), dtype=coupling.dtype)
+    blocks = state.reshape(m + 1, p * n, n)
+    # psi = I: ones on the diagonal of the flattened (real part of the) state
+    state[p * m, :: n + 1] = 1.0
+    u_rows = np.empty((p, n * n), dtype=coupling.dtype)
+    u_k = u_rows.reshape(p * n, n)
+    rhs = np.empty((p * n, n), dtype=coupling.dtype)
     # ndarray.dot bound once skips np.dot's dispatch, dearer than the arithmetic
-    # at small n; every operand is C-contiguous complex128, no output aliases an input
+    # at small n; every output is C-contiguous and aliases no input
     times_a = a.dot
-    end_combine = coupling[m].dot
+    end_combine = coupling[p * m:].dot
     back_substitution = [
-        (coupling[k, k + 1:].dot, state[k + 1:], inverse[k].dot, blocks[k])
+        (coupling[p * k:p * k + p, p * k + p:].dot, state[p * k + p:], inverse[k].dot, blocks[k])
         for k in range(m - 1, -1, -1)
     ]
     for _ in range(num_elements):
@@ -182,5 +210,10 @@ def _pencil_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_elem
             times_a(u_k, out=rhs)
             solve(rhs, out=y_k)
         end_combine(state, out=u_rows)
-        state[m] = u_rows
-    return blocks[m].copy()
+        state[p * m:] = u_rows
+    if p == 1:
+        return blocks[m].copy()
+    psi = np.empty((n, n), dtype=np.complex128)
+    psi.real = blocks[m, :n]
+    psi.imag = blocks[m, n:]
+    return psi

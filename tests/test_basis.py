@@ -170,6 +170,19 @@ def test_pencil_schur_triangularises_the_tables():
             assert abs(from_coupling - from_tables) <= 1e-14 * abs(from_tables)
 
 
+def test_pencil_real_form_is_the_pencil_in_two_by_two_blocks():
+    # every coupling entry c becomes [[Re c, -Im c], [Im c, Re c]], exactly,
+    # so it combines blocks stored as stacked real and imaginary parts
+    for m in range(1, 41):
+        tables = build_tables(m)
+        coupling, real = tables.pencil, tables.pencil_real
+        assert real.shape == (2 * m + 2, 2 * m + 2) and real.dtype == np.float64
+        assert (real[0::2, 0::2] == coupling.real).all() and (real[1::2, 1::2] == coupling.real).all()
+        assert (real[1::2, 0::2] == coupling.imag).all() and (real[0::2, 1::2] == -coupling.imag).all()
+    tables = build_tables(8)
+    assert tables.pencil_real is tables.pencil_real and not tables.pencil_real.flags.writeable
+
+
 def test_pencil_schur_is_cached_and_read_only():
     # the pencil lives on the cached tables, so the count check in
     # build_tables is the only one it needs

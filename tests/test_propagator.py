@@ -9,9 +9,10 @@ from brute_force import brute_force_rhs, brute_force_system
 from random_matrices import random_unit_disk
 from fetexpm import expm, expm_taylor_squaring, max_abs_diff
 from fetexpm.basis import build_tables
-from fetexpm.dense import as_complex_matrix
+from fetexpm.dense import as_complex_matrix, real_form
 from fetexpm.oracles import exact_m1, m1, m2
 from fetexpm.propagator import (
+    COMPLEX_MIN_SIZE,
     PENCIL_MIN_SIZE,
     _dense_propagate,
     _pencil_propagate,
@@ -307,23 +308,31 @@ def test_pencil_solve_matches_kronecker_loop():
                 assert max_abs_diff(report.result, reference) <= 1e-13 * scale
 
 
-def plain_pencil_expm(a, num_elements, num_basis):
-    """The pencil solve written plainly: fresh arrays and one ``np.dot`` per product.
-
-    It reads only the coupling matrix ``tables.pencil`` and inverts each
-    shifted block on its own, so ``expm``'s bound methods, shared work buffer
-    and stacked inverse must reproduce it bit for bit.
-    """
+def plain_inverses(a, coupling, scale):
+    """The inverses of the shifted blocks ``scale I - r[k, k] a``, each on its own."""
     n = a.shape[0]
-    m = num_basis
-    coupling = build_tables(m).pencil
-    scale = 2.0 * num_elements
     inverses = []
-    for k in range(m):
+    for k in range(coupling.shape[0] - 1):
         block = -coupling[k, k] * a
         for i in range(n):
             block[i, i] += scale
         inverses.append(np.linalg.inv(block))
+    return inverses
+
+
+def plain_pencil_expm(a, num_elements, num_basis):
+    """The pencil solve written plainly in complex arithmetic: fresh arrays and one
+    ``np.dot`` per product.
+
+    It reads only the coupling matrix ``tables.pencil`` and inverts each
+    shifted block on its own.  From ``COMPLEX_MIN_SIZE`` on, ``expm``'s bound
+    methods, shared work buffer and stacked inverse must reproduce it bit for
+    bit; below it, ``expm`` multiplies real forms and agrees to rounding.
+    """
+    n = a.shape[0]
+    m = num_basis
+    coupling = build_tables(m).pencil
+    inverses = plain_inverses(a, coupling, 2.0 * num_elements)
     psi = np.eye(n, dtype=complex)
     for _ in range(num_elements):
         # row k holds Y[k] flattened, row m the state
@@ -336,17 +345,102 @@ def plain_pencil_expm(a, num_elements, num_basis):
     return psi
 
 
+def block_real_form(z):
+    """``[[Re z, -Im z], [Im z, Re z]]`` for a complex matrix ``z``, by ``np.block``."""
+    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+
+
+def plain_real_form_pencil_expm(a, num_elements, num_basis):
+    """The pencil solve written plainly on real forms: fresh arrays and one
+    ``np.dot`` per product.
+
+    Every complex matrix becomes ``[[X, -Y], [Y, X]]``, every block ``Y[k]``
+    the stacked ``[Re Y[k]; Im Y[k]]`` and every coupling entry a 2 x 2 real
+    block, all built here from ``tables.pencil`` and the complex inverses.
+    Below ``COMPLEX_MIN_SIZE``, ``expm`` must reproduce it bit for bit.
+    """
+    n = a.shape[0]
+    m = num_basis
+    coupling = build_tables(m).pencil
+    coupling_real = np.empty((2 * m + 2, 2 * m + 2))
+    coupling_real[0::2, 0::2] = coupling_real[1::2, 1::2] = coupling.real
+    coupling_real[1::2, 0::2] = coupling.imag
+    coupling_real[0::2, 1::2] = -coupling.imag
+    a_real = block_real_form(a)
+    inverses = [block_real_form(inv) for inv in plain_inverses(a, coupling, 2.0 * num_elements)]
+    psi = np.concatenate((np.eye(n), np.zeros((n, n))))
+    for _ in range(num_elements):
+        # rows 2k and 2k + 1 hold Re Y[k] and Im Y[k] flattened, rows 2m and 2m + 1 the state
+        rows = np.zeros((2 * m + 2, n * n))
+        rows[2 * m:] = psi.reshape(2, n * n)
+        for k in range(m - 1, -1, -1):
+            u_k = np.dot(coupling_real[2 * k:2 * k + 2, 2 * k + 2:], rows[2 * k + 2:]).reshape(2 * n, n)
+            rows[2 * k:2 * k + 2] = np.dot(inverses[k], np.dot(a_real, u_k)).reshape(2, n * n)
+        psi = np.dot(coupling_real[2 * m:], rows).reshape(2 * n, n)
+    return psi[:n] + 1j * psi[n:]
+
+
+# sizes either side of the operand switch, from the smallest pencil size up
+PLAIN_LOOP_SIZES = (3, 4, 5, 8, 16, 32, COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE)
+
+
+def plain_loop_inputs(rng, n):
+    """Complex, real, purely imaginary and upper-triangular inputs of spectral norm 4."""
+    a = spectral_scaled(rng, n, 4.0)
+    real = a.real * (4.0 / np.linalg.norm(a.real, 2))
+    triangular = np.triu(a)
+    return {
+        "complex": a,
+        "real": real,
+        "imaginary": 1j * real,
+        "upper triangular": triangular * (4.0 / np.linalg.norm(triangular, 2)),
+    }
+
+
 def test_pencil_solve_matches_plain_loop_bitwise():
     # the Kronecker loop above agrees with the pencil solve only to rounding;
-    # this pins its bookkeeping to the bit
+    # this pins its bookkeeping to the bit, on real forms below the operand
+    # switch and on complex operands from it
     assert PENCIL_MIN_SIZE == 3
     rng = np.random.default_rng(1818)
-    for n in (3, 4, 5, 8, 16):
-        a = as_complex_matrix(spectral_scaled(rng, n, 4.0))
-        for m in (1, 2, 5, 8, 16):
-            for num_elements in (1, 2, 3, 8):
-                report = expm(a, num_elements=num_elements, num_basis=m)
-                assert_array_equal(report.result, plain_pencil_expm(a, num_elements, m))
+    for n in PLAIN_LOOP_SIZES:
+        plain = plain_real_form_pencil_expm if n < COMPLEX_MIN_SIZE else plain_pencil_expm
+        for kind, a in plain_loop_inputs(rng, n).items():
+            a = as_complex_matrix(a)
+            for m in (1, 2, 5, 8, 16):
+                for num_elements in (1, 2, 3, 8):
+                    report = expm(a, num_elements=num_elements, num_basis=m)
+                    assert_array_equal(report.result, plain(a, num_elements, m), err_msg=kind)
+
+
+def test_pencil_solve_matches_complex_plain_loop():
+    # below the operand switch the real forms change only the rounding: the
+    # complex plain loop stays an oracle within a few units of the largest entry
+    rng = np.random.default_rng(1919)
+    for n in PLAIN_LOOP_SIZES:
+        for kind, a in plain_loop_inputs(rng, n).items():
+            a = as_complex_matrix(a)
+            for m in (1, 2, 5, 8, 16):
+                for num_elements in (1, 2, 3, 8):
+                    reference = plain_pencil_expm(a, num_elements, m)
+                    result = expm(a, num_elements=num_elements, num_basis=m).result
+                    err = max_abs_diff(result, reference)
+                    assert err <= 1e-14 * np.max(np.abs(reference)), (kind, n, m, num_elements, err)
+
+
+@pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
+def test_pencil_solve_binds_real_forms_below_the_switch(monkeypatch, n):
+    # the operand choice is made once, at set-up, from n alone: below the
+    # switch a and the stacked inverses are embedded, from it nothing is
+    embedded = []
+
+    def counting(z):
+        embedded.append(z.shape)
+        return real_form(z)
+
+    monkeypatch.setattr("fetexpm.propagator.real_form", counting)
+    expm(np.eye(n) / 4.0, 3, 5)
+    assert embedded == ([(n, n), (5, n, n)] if n < COMPLEX_MIN_SIZE else [])
 
 
 def test_pencil_solve_matches_scipy_expm():
@@ -382,9 +476,10 @@ def test_pencil_is_built_only_for_the_pencil_solve():
     m = 43  # a basis count no other test reaches, so its tables start bare
     tables = build_tables(m)
     expm(np.eye(2) / 4.0, 1, m)
-    assert "pencil" not in vars(tables)
+    assert "pencil" not in vars(tables) and "pencil_real" not in vars(tables)
     expm(np.eye(3) / 4.0, 1, m)
     pencil = vars(tables)["pencil"]
+    assert "pencil_real" in vars(tables)
     expm(np.eye(3) / 2.0, 1, m)
     assert build_tables(m).pencil is pencil
 
