@@ -10,12 +10,11 @@ The paper's accuracy studies live in ``fetexpm.studies`` and the built-in
 test matrices with their exact exponentials in ``fetexpm.oracles``.
 """
 
-from .dense import as_complex_matrix, max_abs_diff
-from .matio import MatrixParseError, format_matrix, load_matrix, parse_matrix
+from .matio import MatrixParseError, as_complex_matrix, format_matrix, load_matrix, parse_matrix
 from .oracles import expm_taylor_squaring
 from .propagator import ExpmReport, expm
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ExpmReport",
@@ -25,6 +24,5 @@ __all__ = [
     "expm_taylor_squaring",
     "format_matrix",
     "load_matrix",
-    "max_abs_diff",
     "parse_matrix",
 ]

@@ -22,7 +22,8 @@ form of ``deriv^-1 overlap``, built by deflation with numpy alone, bordered
 by the transformed load and end values, and ``BasisTables.pencil_real`` its
 real form.  Each is built on first use and then kept with the tables, and
 lets the element solve for all but the smallest matrices back-substitute
-over the basis index (see ``propagator``).
+over the basis index (see ``propagator``).  ``real_form``, that embedding of
+a complex matrix in a real one, serves the solve's other operands too.
 """
 
 import functools
@@ -30,8 +31,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dense import real_form
 
 
 def _integrated_coeffs(m: int) -> np.ndarray:
@@ -53,6 +52,22 @@ def _integrated_coeffs(m: int) -> np.ndarray:
         coeffs[mu, mu - 1] = -0.5 / (mu - 1)
         coeffs[mu, 0] = -0.5 * (sign / (mu + 1) - sign / (mu - 1))
     return coeffs
+
+
+def real_form(z: np.ndarray) -> np.ndarray:
+    """The real matrix ``[[X, -Y], [Y, X]]`` of ``z = X + iY``, over its last two axes.
+
+    Its product with the stacked real ``[Re v; Im v]`` is the stacked
+    ``[Re z v; Im z v]``: the conventional complex product written as four
+    real ones, which keeps its error bound.
+    """
+    x, y = z.real, z.imag
+    rows, cols = z.shape[-2:]
+    real = np.empty(z.shape[:-2] + (2 * rows, 2 * cols))
+    real[..., :rows, :cols] = real[..., rows:, cols:] = x
+    real[..., rows:, :cols] = y
+    np.negative(y, out=real[..., :rows, cols:])
+    return real
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,6 +74,11 @@ def _load_operand(spec: str):
     return load_matrix(spec)
 
 
+def _given(args, *names):
+    """``{name: value}`` for each of ``names`` whose option was given."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _emit(text: str, output):
     if output is None:
         sys.stdout.write(text)
@@ -84,7 +89,7 @@ def _emit(text: str, output):
 
 def _run_expm(args) -> int:
     a = _load_operand(args.matrix)
-    report = expm(a, num_elements=args.elements, num_basis=args.basis)
+    report = expm(a, **_given(args, "num_elements", "num_basis"))
     header = f"# elements={report.num_elements} basis={report.num_basis}\n"
     _emit(header + format_matrix(report.result), args.output)
     return EXIT_OK
@@ -92,7 +97,7 @@ def _run_expm(args) -> int:
 
 def _run_table1(args) -> int:
     lines = ["time_steps,min_basis_functions"]
-    for steps, min_basis in table1(args.which, args.tolerance, args.max_basis):
+    for steps, min_basis in table1(args.which, **_given(args, "tolerance", "max_basis")):
         lines.append(f"{steps},{'-' if min_basis is None else min_basis}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -104,8 +109,10 @@ def _run_sweep(args) -> int:
     row, col = args.entry if args.entry is not None else (n, n)
     if row > n or col > n:
         raise ValueError(f"entry {row},{col} out of range for a {n}x{n} matrix")
-    lo, hi = args.range
-    rows = sweep(a, (row - 1, col - 1), vary=args.vary, fixed=args.fixed, lo=lo, hi=hi)
+    given = _given(args, "vary", "fixed")
+    if hasattr(args, "range"):
+        given["lo"], given["hi"] = args.range
+    rows = sweep(a, (row - 1, col - 1), **given)
     lines = ["time_steps,basis_functions,entry_re,entry_im,max_abs_error"]
     for item in rows:
         lines.append(
@@ -123,15 +130,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_expm = sub.add_parser("expm", help="exponentiate a matrix")
     p_expm.add_argument("matrix", help="matrix file or built-in name")
-    p_expm.add_argument("-E", "--elements", type=_positive_int, default=8)
-    p_expm.add_argument("-m", "--basis", type=_positive_int, default=8)
+    # dest is the library parameter an option sets; argparse.SUPPRESS sets none
+    # when the option is left out, so the library's default applies
+    p_expm.add_argument("-E", "--elements", dest="num_elements", metavar="ELEMENTS",
+                        type=_positive_int, default=argparse.SUPPRESS)
+    p_expm.add_argument("-m", "--basis", dest="num_basis", metavar="BASIS",
+                        type=_positive_int, default=argparse.SUPPRESS)
     p_expm.add_argument("--output", help="write result here instead of stdout")
     p_expm.set_defaults(func=_run_expm)
 
     p_table = sub.add_parser("table1", help="minimum-basis study (CSV)")
     p_table.add_argument("which", choices=sorted(TABLE1_STEPS))
-    p_table.add_argument("--tolerance", type=float, default=1e-14)
-    p_table.add_argument("--max-basis", type=_positive_int, default=40)
+    p_table.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    p_table.add_argument("--max-basis", type=_positive_int, default=argparse.SUPPRESS)
     p_table.add_argument("--output", help="write CSV here instead of stdout")
     p_table.set_defaults(func=_run_table1)
 
@@ -139,10 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("matrix", help="matrix file or built-in name")
     p_sweep.add_argument("--entry", type=_entry_pair, default=None,
                          help="1-based I,J of the tracked entry (default: bottom-right)")
-    p_sweep.add_argument("--vary", choices=("elements", "basis"), default="elements")
-    p_sweep.add_argument("--fixed", type=_positive_int, default=8,
+    p_sweep.add_argument("--vary", choices=("elements", "basis"), default=argparse.SUPPRESS)
+    p_sweep.add_argument("--fixed", type=_positive_int, default=argparse.SUPPRESS,
                          help="value of the parameter held constant")
-    p_sweep.add_argument("--range", type=_range_pair, default=(5, 40),
+    p_sweep.add_argument("--range", type=_range_pair, default=argparse.SUPPRESS,
                          help="LO:HI inclusive range for the varied parameter")
     p_sweep.add_argument("--output", help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=_run_sweep)

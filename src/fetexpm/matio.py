@@ -1,11 +1,13 @@
-"""Plain-text square-matrix files.
+"""Square matrices in and out: the input check and plain-text matrix files.
 
-Files are UTF-8 text; a leading byte-order mark is skipped.  Layout: any
-number of ``#`` comment lines, one header line holding the dimension ``n``,
-then exactly ``n`` rows of ``n`` whitespace-separated entries.  A bare number
-is a real entry; a complex entry is a parenthesized pair, ``(re,im)`` or
-``(re im)``.  Values are written back with 17 significant digits, which
-round-trips doubles exactly.
+``as_complex_matrix`` decides what a valid matrix is, so it sits with the
+file format, whose parser yields only matrices the check accepts.  Files are
+UTF-8 text; a leading byte-order mark is skipped.  Layout: any number of
+``#`` comment lines, one header line holding the dimension ``n``, then
+exactly ``n`` rows of ``n`` whitespace-separated entries; a line ends only at
+LF, CR LF or CR.  A bare number is a real entry; a complex entry is a
+parenthesized pair, ``(re,im)`` or ``(re im)``.  Values are written back
+with 17 significant digits, which round-trips doubles exactly.
 """
 
 import math
@@ -13,7 +15,28 @@ import re
 
 import numpy as np
 
-from .dense import as_complex_matrix
+
+def as_complex_matrix(data) -> np.ndarray:
+    """Coerce ``data`` into a fresh square complex128 array.
+
+    Rejects anything that is not a non-empty square matrix, any non-finite
+    entry (NaN or Inf in either component) and any text entry, which numpy
+    would otherwise parse as a number, so bad values fail loudly at the
+    boundary instead of propagating through the arithmetic.
+    """
+    raw = np.asarray(data)
+    # only the dtype kind is checked for arrays of numbers; object arrays,
+    # which numpy also parses entry by entry, are searched for text
+    if raw.dtype.kind in "SU" or (
+        raw.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in raw.flat)
+    ):
+        raise ValueError("matrix entries must be numbers, not text")
+    a = np.array(raw, dtype=np.complex128, order="C")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 class MatrixParseError(ValueError):
@@ -31,6 +54,9 @@ class MatrixParseError(ValueError):
 
 # a parenthesized group, closed or not, or a run of other non-space characters
 _TOKEN = re.compile(r"\([^)]*\)?|[^\s(]+")
+# a line with its end, which tokenizes as whitespace; str.splitlines would also
+# end lines at form feeds, vertical tabs, U+001C-U+001E, U+0085, U+2028, U+2029
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 def _tokenize(text: str, line_no: int):
@@ -74,7 +100,7 @@ def parse_matrix(text: str) -> np.ndarray:
     """Parse matrix text into a complex array, reporting line/column on failure."""
     rows = []
     last_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_LINE.findall(text), start=1):
         last_line = line_no
         if line.lstrip().startswith("#") or not line.strip():
             continue
@@ -130,7 +156,7 @@ def load_matrix(path) -> np.ndarray:
         # makes the last of its lines the offending byte's line, split as
         # parse_matrix splits, and its length the byte's 1-based column
         body = exc.object
-        lines = (body[: exc.start].decode("utf-8-sig") + "?").splitlines()
+        lines = _LINE.findall(body[: exc.start].decode("utf-8-sig") + "?")
         raise MatrixParseError(
             f"not UTF-8 text: byte 0x{body[exc.start]:02x}", len(lines), len(lines[-1])
         ) from None

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .dense import as_complex_matrix
+from .matio import as_complex_matrix
 
 # scaled norm below which the Taylor series is summed directly
 _TAYLOR_NORM_CAP = 0.5

@@ -29,15 +29,20 @@ then marches every element from ``psi(0) = I``:
   The shifted blocks are inverted once per call, so an element costs
   O(m n^3), not O((n m)^3).
 
-The switch sits at n = 3: at n = 2 one LAPACK call per element costs less than
-m Python-level steps, and from n = 3 the pencil solve ties or wins (timings in
-ROADMAP and ``BENCH_*.json``); the two agree to rounding.
+The switch sits at n = 3, and not for speed alone: the dense solve is faster
+at n = 1 and at n = 2 with one element, the pencil solve about 1.1x faster at
+n = 2 with 8 and 1.2x slower at n = 3, m = 8 with one (ROADMAP and
+``BENCH_20.json``).  The two agree to rounding, but at n = 2 the pencil solve
+moves the E = 5 row of ``table1 m1`` from 10 basis functions to 9, as its
+m = 9 error, 1.07e-14, sits on the 1e-14 tolerance.  The tests and the
+benchmark's gate pin that row, so n <= 2, which holds every ``table1``
+matrix, keeps the dense solve.
 
 Below n = 40 (``COMPLEX_MIN_SIZE``) the pencil solve multiplies real forms.
 There a complex product costs more in call overhead than in arithmetic, and
 one real BLAS call on the same product's real form costs a third to a half
 as much.  The complex ``Z = X + iY`` becomes ``[[X, -Y], [Y, X]]``
-(``dense.real_form``), each block ``Y[k]`` the stacked ``[Re Y[k]; Im Y[k]]``
+(``basis.real_form``), each block ``Y[k]`` the stacked ``[Re Y[k]; Im Y[k]]``
 and each coupling entry a 2 x 2 real block (``BasisTables.pencil_real``).
 That is the conventional complex product as four real ones, so it keeps its
 error bound, which the three-multiplication form does not (Higham, SIMAX
@@ -55,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisTables, build_tables
-from .dense import as_complex_matrix, real_form
+from .basis import BasisTables, build_tables, real_form
+from .matio import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
 PENCIL_MIN_SIZE = 3

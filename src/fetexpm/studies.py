@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_complex_matrix
+from .matio import as_complex_matrix
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
 from .propagator import expm
 
@@ -47,7 +47,7 @@ def min_basis_for_tolerance(
         raise ValueError(f"dimension mismatch: {a.shape} vs {reference.shape}")
     for m in range(1, max_basis + 1):
         report = expm(a, num_elements=num_elements, num_basis=m)
-        # max_abs_diff on matrices already checked, without converting them again
+        # the largest entrywise error; both operands were checked and shaped above
         if np.max(np.abs(report.result - reference)) <= tolerance:
             return m
     return None

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chebyshev_oracle import chebyshev_t, integrated_chebyshev
-from fetexpm.basis import build_tables
+from fetexpm.basis import build_tables, real_form
 
 
 def quadrature_tables(m, num_nodes=64):
@@ -168,6 +168,20 @@ def test_pencil_schur_triangularises_the_tables():
             )
             from_coupling = 1.0 + z * end_t @ np.linalg.solve(2.0 * np.eye(m) - z * r, load_t)
             assert abs(from_coupling - from_tables) <= 1e-14 * abs(from_tables)
+
+
+def test_real_form_multiplies_stacked_parts():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    real = real_form(z)
+    assert real.shape == (3, 8, 8) and real.dtype == np.float64 and real.flags.c_contiguous
+    for block, each in zip(z, real):
+        x, y = block.real, block.imag
+        assert np.array_equal(each, np.block([[x, -y], [y, x]]))
+        assert np.array_equal(real_form(block), each)
+        v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        product = each @ np.concatenate((v.real, v.imag))
+        np.testing.assert_allclose(product[:4] + 1j * product[4:], block @ v, rtol=0, atol=1e-14)
 
 
 def test_pencil_real_form_is_the_pencil_in_two_by_two_blocks():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fetexpm import format_matrix, max_abs_diff, parse_matrix
+from matrix_distance import max_abs_diff
+from fetexpm import expm, format_matrix, parse_matrix
 from fetexpm.cli import main
-from fetexpm.oracles import exact_m2
+from fetexpm.oracles import exact_m2, m2
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +58,33 @@ def test_expm_writes_output_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "expm", "unit2", "--output", str(target))
     assert code == 0 and out == ""
     assert max_abs_diff(parse_matrix(target.read_text()), np.e * np.eye(2)) <= 1e-13
+
+
+def test_flags_left_out_leave_the_library_defaults(monkeypatch, capsys):
+    # each default is set once, in the library signature, and the CLI passes
+    # on only the flags given
+    calls = []
+
+    def recording(result):
+        def record(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return result
+        return record
+
+    monkeypatch.setattr("fetexpm.cli.expm", recording(expm(m2())))
+    monkeypatch.setattr("fetexpm.cli.table1", recording([]))
+    monkeypatch.setattr("fetexpm.cli.sweep", recording([]))
+    for argv in (("expm", "m1"), ("table1", "m1"), ("sweep", "m2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [((), {}), ((), {}), (((1, 1),), {})]
+    calls.clear()
+    for argv in (("expm", "m1", "-E", "3", "-m", "5"),
+                 ("table1", "m1", "--tolerance", "1e-9", "--max-basis", "7"),
+                 ("sweep", "m2", "--vary", "basis", "--fixed", "4", "--range", "6:9")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [((), {"num_elements": 3, "num_basis": 5}),
+                     ((), {"tolerance": 1e-9, "max_basis": 7}),
+                     (((1, 1),), {"vary": "basis", "fixed": 4, "lo": 6, "hi": 9})]
 
 
 def test_table1_csv_contents_and_determinism(capsys):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fetexpm import MatrixParseError, format_matrix, load_matrix, parse_matrix
+from fetexpm import (MatrixParseError, as_complex_matrix, expm, format_matrix, load_matrix,
+                     parse_matrix)
 
 
 def test_parse_real_matrix():
@@ -124,6 +127,29 @@ def test_load_matrix_reports_non_utf8_byte_position(tmp_path):
     assert (err.value.line, err.value.column) == (4, 4)
 
 
+def test_rows_end_only_at_line_ends(tmp_path):
+    # str.splitlines also ends a line at each of these; a matrix file ends one
+    # only at LF, CR LF or CR, and elsewhere they separate entries
+    for space in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        assert_array_equal(parse_matrix(f"2\n1{space}2\n3 4\n"), [[1, 2], [3, 4]])
+        with pytest.raises(MatrixParseError, match="found 4") as err:
+            parse_matrix(f"2\n1 2{space}3 4\n5 6\n")
+        assert (err.value.line, err.value.column) == (2, 5)
+        with pytest.raises(MatrixParseError, match="found 3") as err:
+            parse_matrix(f"2\n1 2\n3 4{space}x\n")
+        assert (err.value.line, err.value.column) == (3, 5)
+        # the non-UTF-8 position counts lines the same way
+        path = tmp_path / "spaced.txt"
+        path.write_bytes(f"2\n1{space}2\n3 ".encode("utf-8") + b"\xff\n")
+        with pytest.raises(MatrixParseError, match="0xff") as err:
+            load_matrix(path)
+        assert (err.value.line, err.value.column) == (3, 3)
+    for end in ("\n", "\r\n", "\r"):
+        with pytest.raises(MatrixParseError, match="found 3") as err:
+            parse_matrix(end.join(["2", "1 2", "3 4 x", ""]))
+        assert (err.value.line, err.value.column) == (3, 5)
+
+
 def test_load_matrix_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     bom = b"\xef\xbb\xbf"
@@ -162,3 +188,31 @@ def test_format_rejects_empty_matrix():
     # "0" would be a header that parse_matrix refuses
     with pytest.raises(ValueError, match="non-empty"):
         format_matrix(np.zeros((0, 0)))
+
+
+def test_as_complex_matrix_rejects_bad_input():
+    with pytest.raises(ValueError):
+        as_complex_matrix([1.0, 2.0])
+    with pytest.raises(ValueError):
+        as_complex_matrix([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        as_complex_matrix([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        as_complex_matrix([[complex(0.0, np.inf)]])
+    for shape in ((2, 3), (3, 2), (0, 0), (0, 3), (1, 0)):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            as_complex_matrix(np.zeros(shape))
+
+
+def test_as_complex_matrix_rejects_text_entries():
+    # numpy would parse these as numbers: "4" as 4, "1+2j" (which the matrix
+    # file grammar rejects) as 1+2j and b"1" as 1
+    for text in ([[1, 2], [3, "4"]], [["1+2j"]], [[b"1"]], np.array([["1"]], dtype=object),
+                 np.array([[1.0, b"2"], [3.0, 4.0]], dtype=object)):
+        with pytest.raises(ValueError, match="not text"):
+            as_complex_matrix(text)
+    with pytest.raises(ValueError, match="not text"):
+        expm([[1, 2], [3, "4"]])
+    # numbers held as Python objects are still numbers
+    assert as_complex_matrix(np.array([[Fraction(1, 2)]], dtype=object))[0, 0] == 0.5
+    assert as_complex_matrix([[True]])[0, 0] == 1.0

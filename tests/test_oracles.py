@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fetexpm import expm_taylor_squaring, max_abs_diff
+from matrix_distance import max_abs_diff
+from fetexpm import expm_taylor_squaring
 from fetexpm.oracles import NAMED_MATRICES, exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
 
 
@@ -82,3 +83,14 @@ def test_series_reports_overflow():
     # halve an infinite norm forever
     with pytest.raises(OverflowError, match="norm"):
         expm_taylor_squaring([[1e308, 1e308], [0.0, 0.0]])
+
+
+def test_max_abs_diff_between_published_reference_matrices():
+    # two renderings of the same stiff exponential that differ in the last
+    # couple of printed digits; their distance pins the metric's behaviour
+    exact_print = [[-0.7357588823012208, 0.5518191617363316],
+                   [-1.4715177646302175, 1.1036383234865511]]
+    run_print = [[-0.7357588823012181, 0.5518191617363358],
+                 [-1.4715177646302120, 1.1036383234865592]]
+    d = max_abs_diff(exact_print, run_print)
+    assert 8.0e-15 <= d <= 8.4e-15

@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from brute_force import brute_force_rhs, brute_force_system
+from matrix_distance import max_abs_diff
 from random_matrices import random_unit_disk
-from fetexpm import expm, expm_taylor_squaring, max_abs_diff
-from fetexpm.basis import build_tables
-from fetexpm.dense import as_complex_matrix, real_form
+from fetexpm import as_complex_matrix, expm, expm_taylor_squaring
+from fetexpm.basis import build_tables, real_form
 from fetexpm.oracles import exact_m1, m1, m2
 from fetexpm.propagator import (
     COMPLEX_MIN_SIZE,
