@@ -6,8 +6,10 @@ UTF-8 text; a leading byte-order mark is skipped.  Layout: any number of
 ``#`` comment lines, one header line holding the dimension ``n``, then
 exactly ``n`` rows of ``n`` whitespace-separated entries; a line ends only at
 LF, CR LF or CR.  A bare number is a real entry; a complex entry is a
-parenthesized pair, ``(re,im)`` or ``(re im)``.  Values are written back
-with 17 significant digits, which round-trips doubles exactly.
+parenthesized pair, ``(re,im)`` or ``(re im)``.  The dimension and each
+number are ASCII decimal literals without underscores, read by ``int`` and
+``float``.  Values are written back with 17 significant digits, which
+round-trips doubles exactly.
 """
 
 import math
@@ -31,7 +33,11 @@ def as_complex_matrix(data) -> np.ndarray:
         raw.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in raw.flat)
     ):
         raise ValueError("matrix entries must be numbers, not text")
-    a = np.array(raw, dtype=np.complex128, order="C")
+    try:
+        a = np.array(raw, dtype=np.complex128, order="C")
+    except OverflowError:
+        # a Python int or Fraction beyond the double range
+        raise ValueError("matrix entries must be finite") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"matrix must be square and non-empty, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -72,9 +78,20 @@ def _tokenize(text: str, line_no: int):
     return tokens
 
 
+def _literal(text: str) -> str:
+    """``text`` if it is ASCII without ``_``, else ``ValueError``.
+
+    ``float`` and ``int`` also read digit-group underscores and any Unicode
+    decimal digit, which ``format_matrix`` never writes.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def _parse_real(text: str, line: int, column: int) -> float:
     try:
-        value = float(text)
+        value = float(_literal(text))
     except ValueError:
         raise MatrixParseError(f"not a number: {text!r}", line, column) from None
     if not math.isfinite(value):
@@ -114,7 +131,7 @@ def parse_matrix(text: str) -> np.ndarray:
         raise MatrixParseError(f"header must be a single dimension, got {tok!r}", line, col)
     tok, line, col = header[0]
     try:
-        n = int(tok)
+        n = int(_literal(tok))
     except ValueError:
         raise MatrixParseError(f"dimension must be an integer, got {tok!r}", line, col) from None
     if n < 1:

@@ -36,7 +36,9 @@ n = 2 with 8 and 1.2x slower at n = 3, m = 8 with one (ROADMAP and
 moves the E = 5 row of ``table1 m1`` from 10 basis functions to 9, as its
 m = 9 error, 1.07e-14, sits on the 1e-14 tolerance.  The tests and the
 benchmark's gate pin that row, so n <= 2, which holds every ``table1``
-matrix, keeps the dense solve.
+matrix, keeps the dense solve.  The row moves with any change to the dense
+solve's rounding: to 9 through the pencil solve, to 11 when the end values
+are one flat sum over all columns instead of one sum per column.
 
 Below n = 40 (``COMPLEX_MIN_SIZE``) the pencil solve multiplies real forms.
 There a complex product costs more in call overhead than in arithmetic, and
@@ -163,7 +165,11 @@ def _dense_propagate(a: np.ndarray, scale: float, tables: BasisTables, num_eleme
     psi = np.eye(n, dtype=np.complex128)
     for _ in range(num_elements):
         coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
-        # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1
+        # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1;
+        # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
+        # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
+        # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,
+        # which tests pin byte for byte
         per_col = np.ascontiguousarray(coeffs.reshape(tables.m, n, n).transpose(2, 0, 1))
         psi = psi + (tables.end_vals @ per_col).T
     return psi

@@ -10,9 +10,10 @@ from brute_force import brute_force_rhs, brute_force_system
 from chebyshev_oracle import integrated_chebyshev
 from matrix_distance import max_abs_diff
 from random_matrices import random_unit_disk
-from fetexpm import expm, expm_taylor_squaring, format_matrix, parse_matrix
+from fetexpm import expm, expm_taylor_squaring
 from fetexpm.basis import build_tables
 from fetexpm.cli import main
+from fetexpm.matio import format_matrix, parse_matrix
 from fetexpm.oracles import exact_m1, exact_m2, exact_unit2, m1, m2, m3, m4, unit2
 from fetexpm.studies import min_basis_for_tolerance
 

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from matrix_distance import max_abs_diff
-from fetexpm import expm, format_matrix, parse_matrix
+from fetexpm import expm
 from fetexpm.cli import main
+from fetexpm.matio import format_matrix, parse_matrix
 from fetexpm.oracles import exact_m2, m2
 
 

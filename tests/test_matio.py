@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fetexpm import (MatrixParseError, as_complex_matrix, expm, format_matrix, load_matrix,
-                     parse_matrix)
+from fetexpm import expm, expm_taylor_squaring
+from fetexpm.matio import (MatrixParseError, as_complex_matrix, format_matrix, load_matrix,
+                           parse_matrix)
 
 
 def test_parse_real_matrix():
@@ -105,6 +106,23 @@ def test_non_finite_rejected():
         parse_matrix("1\n(inf,0)\n")
 
 
+def test_numbers_are_ascii_literals():
+    # float and int would read these as 10, 1, 10 + 2j, 1 + 2j, 1e10 and 1
+    for text, line, column in [("1\n1_0\n", 2, 1), ("1\n\u0661\n", 2, 1),
+                               ("2\n0 (1_0,2)\n0 0\n", 2, 3), ("2\n0 0\n0 (1 \u0662)\n", 3, 3),
+                               ("1\n1e1_0\n", 2, 1), ("1\n\uff11\n", 2, 1)]:
+        with pytest.raises(MatrixParseError, match="not a number") as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+    # headers that int would read as 1 and 10
+    for header in ("\u0661", "1_0"):
+        with pytest.raises(MatrixParseError, match="dimension must be an integer") as err:
+            parse_matrix(f"# note\n {header}\n1\n")
+        assert (err.value.line, err.value.column) == (2, 2)
+    with pytest.raises(MatrixParseError, match="non-finite"):
+        parse_matrix("1\n-Infinity\n")
+
+
 def test_load_matrix_missing_file(tmp_path):
     # a file that cannot be read has no offending position to report
     for path in (tmp_path / "absent.txt", tmp_path):
@@ -202,6 +220,16 @@ def test_as_complex_matrix_rejects_bad_input():
     for shape in ((2, 3), (3, 2), (0, 0), (0, 3), (1, 0)):
         with pytest.raises(ValueError, match="square and non-empty"):
             as_complex_matrix(np.zeros(shape))
+
+
+def test_entries_beyond_the_double_range_are_not_finite():
+    # numpy's conversion of these Python numbers raises OverflowError, the
+    # error that expm reserves for its own overflow verdicts
+    for data in ([[10**400]], np.array([[10**400]], dtype=object), [[-10**309]],
+                 [[Fraction(10**400)]], [[1.0, 2**1024], [0.0, 1.0]]):
+        for check in (as_complex_matrix, format_matrix, expm, expm_taylor_squaring):
+            with pytest.raises(ValueError, match="must be finite"):
+                check(data)
 
 
 def test_as_complex_matrix_rejects_text_entries():
