@@ -8,7 +8,7 @@ import numpy as np
 
 from .matio import as_complex_matrix
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
-from .propagator import expm
+from .propagator import expm, expm_each
 
 # element counts examined per reference matrix in the minimum-basis study
 TABLE1_STEPS = {
@@ -36,6 +36,16 @@ def min_basis_for_tolerance(
     Scans upward from one basis function; returns None when no count up to
     ``max_basis`` reaches the tolerance.
     """
+    return _min_basis_search(a, reference, (num_elements,), tolerance, max_basis)[0]
+
+
+def _min_basis_search(a, reference, element_counts, tolerance, max_basis) -> list:
+    """``min_basis_for_tolerance`` for each element count, in the order given.
+
+    For m = 1, 2, ... one ``expm_each`` call marches every count still
+    searching; a count leaves once its error meets the tolerance.  Each count
+    sees the same basis counts, and so the same results, as a search of its own.
+    """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     max_basis = operator.index(max_basis)
@@ -45,12 +55,18 @@ def min_basis_for_tolerance(
     reference = as_complex_matrix(reference)
     if a.shape != reference.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {reference.shape}")
+    found = [None] * len(element_counts)
+    searching = list(range(len(element_counts)))
     for m in range(1, max_basis + 1):
-        report = expm(a, num_elements=num_elements, num_basis=m)
+        if not searching:
+            break
+        results = expm_each(a, [element_counts[row] for row in searching], m)
         # the largest entrywise error; both operands were checked and shaped above
-        if np.max(np.abs(report.result - reference)) <= tolerance:
-            return m
-    return None
+        for row, result in zip(searching, results):
+            if np.max(np.abs(result - reference)) <= tolerance:
+                found[row] = m
+        searching = [row for row in searching if found[row] is None]
+    return found
 
 
 def table1(which: str, tolerance: float = 1e-14, max_basis: int = 40):
@@ -63,10 +79,8 @@ def table1(which: str, tolerance: float = 1e-14, max_basis: int = 40):
         raise ValueError(f"unknown study matrix {which!r}; pick from {sorted(TABLE1_STEPS)}")
     a = NAMED_MATRICES[which]()
     reference = EXACT_EXPM[which]()
-    return [
-        (steps, min_basis_for_tolerance(a, reference, steps, tolerance, max_basis))
-        for steps in TABLE1_STEPS[which]
-    ]
+    steps = TABLE1_STEPS[which]
+    return list(zip(steps, _min_basis_search(a, reference, steps, tolerance, max_basis)))
 
 
 def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int = 40):
@@ -74,7 +88,28 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
 
     ``entry`` is a 0-based (row, column) pair whose value is recorded per
     run; errors are measured against the Taylor scaling-and-squaring
-    reference, which exists for any matrix.
+    reference ``expm_taylor_squaring``.  A sweep over elements marches all
+    its rows together (``expm_each``), a sweep over basis counts makes one
+    ``expm`` call per row; either way each row is bitwise what one ``expm``
+    call at its counts returns.
+
+    Raises
+    ------
+    ValueError
+        If ``vary`` is neither "elements" nor "basis", the range is not
+        ``1 <= lo <= hi``, ``fixed`` is below 1, ``a`` is not a non-empty
+        square finite matrix or ``entry`` lies outside it; before the
+        reference is computed.
+    TypeError
+        If a count or an index of ``entry`` is not an integer, also before
+        the reference.
+    OverflowError
+        If the reference overflows, which it does wherever the exponential
+        leaves the double range: ``sweep([[800.0]], (0, 0))`` raises
+        "exponential overflowed to non-finite values".  A row raises as
+        ``expm`` does.
+    numpy.linalg.LinAlgError
+        If a row's block system is exactly singular, as ``expm`` raises.
     """
     if vary not in ("elements", "basis"):
         raise ValueError("vary must be 'elements' or 'basis'")
@@ -89,16 +124,18 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
     if not (0 <= row < n and 0 <= col < n):
         raise ValueError(f"entry {entry} out of range for size {n}")
     reference = expm_taylor_squaring(a)
-    rows = []
-    for value in range(lo, hi + 1):
-        num_elements, num_basis = (value, fixed) if vary == "elements" else (fixed, value)
-        report = expm(a, num_elements=num_elements, num_basis=num_basis)
-        rows.append(
-            StudyRow(
-                num_elements=num_elements,
-                num_basis=num_basis,
-                max_abs_error=float(np.max(np.abs(report.result - reference))),
-                selected_entry=complex(report.result[row, col]),
-            )
+    values = range(lo, hi + 1)
+    if vary == "elements":
+        # rows of one basis count share the march: one call for the whole sweep
+        runs = zip(values, [fixed] * len(values), expm_each(a, values, fixed))
+    else:
+        runs = ((fixed, m, expm(a, num_elements=fixed, num_basis=m).result) for m in values)
+    return [
+        StudyRow(
+            num_elements=num_elements,
+            num_basis=num_basis,
+            max_abs_error=float(np.max(np.abs(result - reference))),
+            selected_entry=complex(result[row, col]),
         )
-    return rows
+        for num_elements, num_basis, result in runs
+    ]

@@ -236,7 +236,7 @@ def readme_examples():
 
 def test_readme_examples_print_what_the_readme_shows(capsys):
     examples = readme_examples()
-    assert [command.split()[0] for command, _ in examples] == ["expm", "table1", "sweep"]
+    assert [command.split()[0] for command, _ in examples] == ["expm", "table1", "sweep", "sweep"]
     for command, expected in examples:
         code, out, err = run_cli(capsys, *shlex.split(command))
         assert (code, err) == (0, "")

@@ -19,6 +19,7 @@ from fetexpm.propagator import (
     _pencil_propagate,
     assemble_rhs,
     assemble_system,
+    expm_each,
 )
 
 
@@ -278,14 +279,18 @@ def test_non_finite_state_stays_non_finite(n):
     # because no element turns a non-finite state finite: the dense solve
     # (n = 2) adds to it, and the pencil solve's (n = 3) end row has
     # coefficient exactly 1 on it (pinned by
-    # test_pencil_schur_triangularises_the_tables).  800 I on elements of
-    # scale 256 overflows after fewer than 128 of them and stays so
+    # test_pencil_schur_triangularises_the_tables).  A march of e elements
+    # has scale 2e, so on 6.25 e I every element applies, up to rounding, the
+    # map of 800 I at scale 256; e of them overflow for some e below 128, and
+    # so does every longer march
     propagate = _dense_propagate if n < PENCIL_MIN_SIZE else _pencil_propagate
-    a = as_complex_matrix(800.0 * np.eye(n))
     tables = build_tables(8)
     # expm runs each solve under this errstate; called directly, it is the caller's
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = [bool(np.isfinite(propagate(a, 256.0, tables, e)).all()) for e in range(1, 129)]
+        finite = [
+            bool(np.isfinite(propagate(as_complex_matrix(6.25 * e * np.eye(n)), tables, [e])[0]).all())
+            for e in range(1, 129)
+        ]
     first = finite.index(False)
     assert first < 127 and not any(finite[first:])
 
@@ -604,3 +609,77 @@ def test_pencil_overflowing_inverse_is_reported(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="solution"):
             expm(np.eye(16) / 4.0)
+
+
+# count lists for the stacked march: one count, unsorted, repeated, and 1..top,
+# which runs top rows of which one retires after each element
+def march_count_lists(top):
+    return [7], [5, 2, 9, 3], [4, 6, 4, 4, 1], list(range(1, top + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 33, 39, 40, 41])
+def test_stacked_march_matches_one_expm_per_count_bitwise(monkeypatch, n):
+    # every row of one march equals its own expm call to the bit, on the dense
+    # solve (n <= 2), on real forms (3 <= n < 40) and on complex operands
+    # (n >= 40), where the first back-substitution step is bound apart; each
+    # count list is marched whole and, with a budget of three real-form rows,
+    # in chunks of three or four (at n >= 16 and m = 16 the default budget
+    # already holds at most a few rows).  From n = 33 the one-count references for
+    # m = 8 and 16 stop at 12 elements, which keeps the test within seconds
+    rng = np.random.default_rng(2300 + n)
+    a = as_complex_matrix(random_unit_disk(rng, n) * 3.0)
+    for m in (1, 2, 5, 8, 16):
+        top = 40 if n <= 16 or m <= 5 else 12
+        single = {count: expm(a, count, m).result for count in range(1, top + 1)}
+        row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
+        for budget in (None, 3 * row_bytes):
+            if budget is not None:
+                monkeypatch.setattr("fetexpm.propagator.CHUNK_BYTES", budget)
+            for counts in march_count_lists(top):
+                results = expm_each(a, counts, m)
+                assert len(results) == len(counts)
+                for count, result in zip(counts, results):
+                    assert_array_equal(result, single[count], err_msg=f"m={m} count={count}")
+                    assert result.shape == (n, n) and result.flags.owndata
+            monkeypatch.undo()
+
+
+def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
+    def failing(*args):
+        raise RuntimeError("reached the solve")
+
+    monkeypatch.setattr("fetexpm.propagator.assemble_system", failing)
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    for size in (2, 3):
+        for bad in ([3, 0], [0], [5, -1, 2]):
+            with pytest.raises(ValueError, match=">= 1"):
+                expm_each(np.eye(size), bad)
+        for bad in ([3, 2.5], [8.0], [4, "4"]):
+            with pytest.raises(TypeError):
+                expm_each(np.eye(size), bad)
+        with pytest.raises(TypeError):
+            expm_each(np.eye(size), [3], 5.5)
+    # no count, no march
+    assert expm_each(np.eye(3), []) == []
+
+
+def test_stacked_march_reports_an_overflowing_row():
+    # one element of 800 I stays finite; 128 of them overflow, and so does the
+    # march that carries both rows, without a warning, in either solve
+    for size in (1, 2, 3, 16):
+        a = 800.0 * np.eye(size)
+        assert np.isfinite(expm(a, 1).result).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for counts in ([1, 128], [128, 1], [1, 2, 128, 3]):
+                with pytest.raises(OverflowError, match="solution"):
+                    expm_each(a, counts)
+
+
+def test_stacked_march_raises_on_a_singular_row():
+    # E = 3, m = 1 makes the block system of [[4.0]] (and the shifted block
+    # of 4 I) exactly singular; a march that carries that row raises
+    for size in (1, 3):
+        with pytest.raises(np.linalg.LinAlgError):
+            expm_each(4.0 * np.eye(size), [1, 2, 3, 4], 1)
+        assert len(expm_each(4.0 * np.eye(size), [1, 2, 4], 1)) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fetexpm import studies
+from fetexpm import expm, studies
 from fetexpm.studies import min_basis_for_tolerance, sweep, table1
 from fetexpm.oracles import exact_m1, exact_m2, m1, m2, m3, m4
 
@@ -35,13 +35,13 @@ def test_min_basis_rejects_bad_max_basis():
 
 def test_min_basis_checks_the_reference_before_any_expm(monkeypatch):
     calls = []
-    real = studies.expm
+    real = studies.expm_each
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(studies, "expm", counting)
+    monkeypatch.setattr(studies, "expm_each", counting)
     with pytest.raises(ValueError, match="dimension mismatch"):
         min_basis_for_tolerance(m1(), np.zeros((3, 3)), 8)
     reference = exact_m1()
@@ -140,3 +140,64 @@ def test_sweep_reads_counts_as_integers_before_the_reference(monkeypatch):
         for row in rows:
             assert type(row.num_elements) is int and type(row.num_basis) is int
         assert [(r.num_elements, r.num_basis) for r in rows] == [(int(fixed), 5), (int(fixed), 6)]
+
+
+def test_sweep_over_elements_marches_once(monkeypatch):
+    # every row of one basis count comes from one march, bitwise equal to one
+    # expm call per row; a sweep over basis counts still makes one call per row
+    calls = []
+    real = studies.expm_each
+
+    def counting(a, element_counts, num_basis=8):
+        calls.append((list(element_counts), num_basis))
+        return real(a, element_counts, num_basis)
+
+    monkeypatch.setattr(studies, "expm_each", counting)
+    for a, entry in ((m2(), (1, 0)), (m3(), (4, 4)), (m4(), (2, 2))):
+        calls.clear()
+        rows = sweep(a, entry=entry, fixed=6, lo=3, hi=12)
+        assert calls == [(list(range(3, 13)), 6)]
+        reference = studies.expm_taylor_squaring(a)
+        for row in rows:
+            result = expm(a, row.num_elements, row.num_basis).result
+            assert row.selected_entry == complex(result[entry])
+            assert row.max_abs_error == float(np.max(np.abs(result - reference)))
+    calls.clear()
+    sweep(m2(), entry=(0, 0), vary="basis", lo=5, hi=7)
+    assert calls == []
+
+
+def test_table1_search_marches_the_counts_still_searching(monkeypatch):
+    # one call per basis count, over the counts whose error has not yet met
+    # the tolerance; unit2's rows need 11, 9, 8, 7, 6 and 5 basis functions
+    calls = []
+    real = studies.expm_each
+
+    def counting(a, element_counts, num_basis=8):
+        calls.append((list(element_counts), num_basis))
+        return real(a, element_counts, num_basis)
+
+    monkeypatch.setattr(studies, "expm_each", counting)
+    rows = table1("unit2")
+    steps = studies.TABLE1_STEPS["unit2"]
+    expected = [([e for e, found in rows if found >= m], m) for m in range(1, 12)]
+    assert calls == expected
+    assert calls[0] == (list(steps), 1) and calls[-1] == ([1], 11)
+    # a count that no basis count up to max_basis serves is searched to the end
+    calls.clear()
+    assert studies._min_basis_search(m2(), exact_m2(), (1, 4), 1e-14, 9) == [None, 8]
+    assert calls == [([1, 4], m) for m in range(1, 9)] + [([1], 9)]
+
+
+def test_singular_row_raises_from_both_studies(monkeypatch):
+    # E = 3, m = 1 makes the block system of [[4.0]] exactly singular; the
+    # march that carries that row raises, as one expm per row did
+    with pytest.raises(np.linalg.LinAlgError):
+        sweep([[4.0]], entry=(0, 0), fixed=1, lo=1, hi=5)
+    with pytest.raises(np.linalg.LinAlgError):
+        min_basis_for_tolerance([[4.0]], [[np.exp(4.0)]], 3)
+    monkeypatch.setitem(studies.TABLE1_STEPS, "m2", (1, 2, 3, 4))
+    monkeypatch.setitem(studies.NAMED_MATRICES, "m2", lambda: np.array([[4.0]]))
+    monkeypatch.setitem(studies.EXACT_EXPM, "m2", lambda: np.array([[np.exp(4.0)]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        table1("m2")
