@@ -22,8 +22,11 @@ form of ``deriv^-1 overlap``, built by deflation with numpy alone, bordered
 by the transformed load and end values, and ``BasisTables.pencil_real`` its
 real form.  Each is built on first use and then kept with the tables, and
 lets the element solve for all but the smallest matrices back-substitute
-over the basis index (see ``propagator``).  ``real_form``, that embedding of
-a complex matrix in a real one, serves the solve's other operands too.
+over the basis index (see ``propagator``); so are the slices of them that
+every such solve reads, its shifts (``pencil_shifts``) and the coupling
+rows of each step (``pencil_steps``, ``pencil_real_steps``).
+``real_form``, that embedding of a complex matrix in a real one, serves the
+solve's other operands too.
 """
 
 import functools
@@ -134,6 +137,33 @@ class BasisTables:
         real = real.reshape(2 * m + 2, 2 * m + 2)
         real.setflags(write=False)
         return real
+
+    # what every pencil solve at this count reads of the coupling matrix,
+    # sliced once here rather than again on every call
+    @functools.cached_property
+    def pencil_shifts(self) -> np.ndarray:
+        """The negated diagonal ``-r[k, k]`` of ``pencil`` as an (m, 1, 1) array:
+        times ``a`` it stacks the shifted blocks ``scale I - r[k, k] a`` but for their scale."""
+        shifts = -self.pencil.diagonal()[:self.m, None, None]
+        shifts.setflags(write=False)
+        return shifts
+
+    @functools.cached_property
+    def pencil_steps(self) -> tuple:
+        """The rows of ``pencil`` each step reads: ``pencil[k:k + 1, k + 1:]`` for
+        basis step ``k < m``, and the end row ``pencil[m:]`` at index ``m``."""
+        return _step_rows(self.pencil, 1)
+
+    @functools.cached_property
+    def pencil_real_steps(self) -> tuple:
+        """``pencil_steps`` of ``pencil_real``: two rows per step, ``[2k:2k + 2, 2k + 2:]``."""
+        return _step_rows(self.pencil_real, 2)
+
+
+def _step_rows(coupling: np.ndarray, p: int) -> tuple:
+    """Read-only views of the ``p`` coupling rows of each basis step and of the end."""
+    m = coupling.shape[0] // p - 1
+    return tuple(coupling[p * k:p * k + p, p * k + p:] for k in range(m)) + (coupling[p * m:],)
 
 
 def build_tables(m: int) -> BasisTables:

@@ -53,39 +53,66 @@ then embedded.  From n = 40 the embedding's set-up copies and the larger
 real products cost more than they save, and at n = 64 complex ``zgemm`` beats
 every real variant, so the same loop runs on complex operands.
 
-Several element counts of one matrix and one basis count, as the studies'
-sweeps over elements and minimum-basis searches need (``expm_each``),
-share ``a`` and the tables and differ only in the element width, so one
-march advances them together.  Their rows sit on a new outermost axis of
-the states, of the dense systems and of the pencil's inverses, and each
-step is one call for all active rows: one ``einsum``, ``np.linalg.solve``
-and end-value product over that axis in the dense solve, and one
-``np.matmul`` for each couple, ``a u_k`` and inverse product in the pencil
-solve.  The counts go longest first, and a row retires once it has marched
-its own count, so the active rows are always a prefix and the march runs
-max(E) elements, not their sum.  Every row stays bitwise equal to one
-``expm`` call: each stacked call runs the same LAPACK or BLAS kernel per
-row.  The one exception is the pencil's (1 x 1)(1 x n^2) complex product of
-step m - 1, which ``np.matmul`` rounds differently from ``ndarray.dot``; it
-keeps ``ndarray.dot``, with a 0-d weight that scales the rows one by one.
+Several ``(E, m)`` rows of one matrix, as the studies' sweeps and
+minimum-basis searches need (``expm_each``), share ``a``, so one march
+advances them together.  Their rows sit on a new outermost axis of the
+states, of the dense systems and of the pencil's inverses, and each step is
+one call for all active rows: one ``einsum``, ``np.linalg.solve`` and
+end-value product over that axis in the dense solve, and one ``np.matmul``
+for each couple, ``a u_k`` and inverse product in the pencil solve.  Rows of
+one basis count differ only in the element width.  They go longest first,
+and a row retires once it has marched its own count, so the active rows are
+always a prefix and the march runs max(E) elements, not their sum.
 
-A stretch with one active row, which is all of ``expm``'s single count,
-binds that row's 2-D operands and the bound ``ndarray.dot`` calls of the
-single-count loop, and only several rows get stacked systems, states and
-buffers: the stacked operands cost a single count 1.1-1.2x in ``np.matmul``
-dispatch.  So each solve keeps one march, and only the binding differs.
-The pencil solve marches its rows in chunks whose working set, state buffer
-and embedded inverses, stays within ``CHUNK_BYTES``; a chunk that outgrows
-the 2 MiB L2 cache of the machine it was measured on runs slower than one
-row at a time (``BENCH_23.json``).  At n = 64 a row alone fills the budget,
-so a chunk is one row.
+From n = 3, rows of one element count and several basis counts share a
+march too.  Each row's basis steps are right-aligned to the chunk's largest
+count M: row r's step k sits at position ``M - m_r + k`` of an (M + 1)-block
+state whose last block holds ``psi``.  Going down from position M - 1, all
+rows start their back-substitution together and a row with fewer basis
+functions stops early, so with the rows in descending basis count the
+active rows at each position are a prefix.  At position j each of them
+couples the same tail of its state, blocks j + 1 to M, so the couple,
+``a u_k`` and inverse product are again one ``np.matmul`` each.  They act on
+views of a stack of the rows' coupling matrices, right-aligned in the same
+way, and of the inverses, which are stacked position by position so that
+each position's active rows are contiguous.  A march takes any rows whose
+basis and element counts both descend; ``expm_each`` orders its rows by
+basis count, then element count, and starts a new march where the element
+count would grow.  Two things stay per basis count, because padding changes
+bits (ROADMAP, measured dead ends):
 
-Only ``expm_each``, and through it ``expm``, checks input and decides
-overflow, by one rule for both solves (``expm``'s Raises section); the
-functions here trust it.
+* the end combine, one call per run of rows of one basis count, and so one
+  bound ``ndarray.dot`` per row in a sweep over basis counts: the end rows
+  differ in length, and padding them with zeros changed the rounding at
+  m = 2..6 on random states at n = 3 and 5;
+* the dense solve, one march per basis count: its (n m) x (n m) systems
+  differ in size, and padding them with the identity changed LAPACK's
+  solution in 1396 of 1600 random cases (n = 1, 2, m = 1..20).
+
+Every row stays bitwise equal to one ``expm`` call: each stacked call runs
+the same LAPACK or BLAS kernel per row.  The one exception is the pencil's
+(1 x 1)(1 x n^2) complex product at position M - 1, which ``np.matmul``
+rounds differently from ``ndarray.dot``; it keeps ``ndarray.dot``, with one
+0-d weight per run of one basis count that scales its rows one by one.
+
+A position with one active row, which is all of ``expm``'s single row,
+binds that row's 2-D operands and bound ``ndarray.dot`` calls, and only
+several rows get stacked operands: they cost a single row 1.1-1.2x in
+``np.matmul`` dispatch.  So each solve keeps one march, and only the
+binding differs.  The pencil solve marches its rows in chunks whose working
+set, state buffer and embedded inverses right-aligned to the chunk's
+largest count, stays within ``CHUNK_BYTES``; a chunk that outgrows the 2 MiB
+L2 cache of the machine it was measured on runs slower than one row at a
+time (``BENCH_23.json``).  At n = 64 a row alone fills the budget, so a
+chunk is one row.
+
+Only ``expm`` and ``expm_each`` check input and decide overflow, by one
+rule for both solves (``expm``'s Raises section); the functions here trust
+them.
 """
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -104,6 +131,14 @@ COMPLEX_MIN_SIZE = 40
 # and 4 at n = 24, where it beat 256 KiB, 4 MiB and no chunks; it holds 2 rows
 # at n = 32 and one at n = 64, where no chunks ran 0.67-0.83x one row at a time
 CHUNK_BYTES = 1 << 20
+
+
+# the coupling matrix and its step rows that the pencil solve reads, by the
+# number p of real rows per block: complex operands (1) or real forms (2)
+_PENCIL_FORMS = {
+    1: (operator.attrgetter("pencil"), operator.attrgetter("pencil_steps")),
+    2: (operator.attrgetter("pencil_real"), operator.attrgetter("pencil_real_steps")),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,44 +212,70 @@ def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
         an eigenvalue of ``a`` hits a pole of the element map (for example
         ``expm([[4.0]], 3, 1)``).
     """
-    (psi,) = expm_each(a, (num_elements,), num_basis)
-    return ExpmReport(result=psi, num_elements=operator.index(num_elements),
-                      num_basis=operator.index(num_basis))
+    a = as_complex_matrix(a)
+    row = _checked_row(num_elements, num_basis)
+    (psi,) = _march(a, [row])
+    return ExpmReport(result=psi, num_elements=row[0], num_basis=row[1].m)
 
 
-def expm_each(a, element_counts, num_basis: int = 8) -> list:
-    """``exp(a)`` at each of several element counts and one basis count, marched together.
+def expm_each(a, rows) -> list:
+    """``exp(a)`` at each of several ``(num_elements, num_basis)`` rows, marched together.
 
-    Returns one fresh n x n result per count, in the order given, each bitwise
-    equal to ``expm(a, count, num_basis).result``; the counts need not be
-    sorted or distinct.  The rows that share ``a`` and ``num_basis`` advance
-    through one march (module docstring), which is what makes the studies'
-    element sweeps cheap.  Checks its input and raises exactly as ``expm``
-    does, before any solve for bad input; an overflow in any row raises
-    ``OverflowError("solution ...")``.
+    Returns one fresh n x n result per row, in the order given, each bitwise
+    equal to ``expm(a, num_elements, num_basis).result``; the rows need not be
+    sorted or distinct.  Rows that share a basis count advance through one
+    march, and from n = 3 so do rows that share an element count (module
+    docstring): a sweep over either count, and each basis count of a
+    minimum-basis search, is one march wherever it can be.  Checks its input
+    and raises exactly as ``expm`` does, before any solve for bad input; an
+    overflow in any row raises ``OverflowError("solution ...")``.
     """
     a = as_complex_matrix(a)
-    counts = list(map(operator.index, element_counts))
-    if min(counts, default=1) < 1:
-        raise ValueError("number of elements must be >= 1")
-    tables = build_tables(num_basis)
+    rows = [_checked_row(*row) for row in rows]
+    # largest basis count first, then most elements: a march over such rows
+    # keeps its active rows a prefix at every basis step and every element
+    order = sorted(range(len(rows)), key=lambda row: (rows[row][1].m, rows[row][0]), reverse=True)
+    pencil = a.shape[0] >= PENCIL_MIN_SIZE
+    marches = []
+    for row in order:
+        num_elements, tables = rows[row]
+        last = rows[marches[-1][-1]] if marches else None
+        # the dense solve marches one basis count, the pencil solve also
+        # fewer basis functions as long as the elements do not grow
+        if last and (num_elements <= last[0] if pencil else tables.m == last[1].m):
+            marches[-1].append(row)
+        else:
+            marches.append([row])
+    results = [None] * len(rows)
+    for march in marches:
+        for row, psi in zip(march, _march(a, [rows[row] for row in march])):
+            results[row] = psi
+    return results
 
-    # the march keeps its active rows a prefix, so it takes the counts longest first
-    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+
+def _checked_row(num_elements, num_basis):
+    """``(num_elements, tables)`` for one row, its counts checked as ``expm`` documents."""
+    num_elements = operator.index(num_elements)
+    if num_elements < 1:
+        raise ValueError("number of elements must be >= 1")
+    return num_elements, build_tables(num_basis)
+
+
+def _march(a: np.ndarray, rows) -> list:
+    """One march over checked rows in ``expm_each``'s order: ``psi`` per row,
+    after the set-up and solution checks of ``expm``'s Raises section."""
     propagate = _pencil_propagate if a.shape[0] >= PENCIL_MIN_SIZE else _dense_propagate
-    # no |overlap| entry exceeds overlap[0, 0] = 1.5 pi and no pencil |r[k, k]|
-    # exceeds 1.5 (both pinned by tests), so this check covers the dense system,
-    # the shifted blocks and the first element's right-hand sides
+    # no |overlap| entry exceeds overlap[0, 0] = 1.5 pi, at any basis count, and
+    # no pencil |r[k, k]| exceeds 1.5 (both pinned by tests), so this check covers
+    # the dense system, the shifted blocks and the first element's right-hand sides
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(tables.overlap[0, 0] * a).all():
+        if not np.isfinite(rows[0][1].overlap[0, 0] * a).all():
             raise OverflowError("block system overflowed to non-finite values")
-        marched = propagate(a, tables, list(map(counts.__getitem__, order)))
-    results = [None] * len(counts)
-    for row, psi in zip(order, marched):
+        marched = propagate(a, rows)
+    for psi in marched:
         if not np.isfinite(psi).all():
             raise OverflowError("solution overflowed to non-finite values")
-        results[row] = psi
-    return results
+    return marched
 
 
 def _segments(element_counts):
@@ -230,15 +291,18 @@ def _segments(element_counts):
         done = element_counts[rows - 1]
 
 
-def _dense_propagate(a: np.ndarray, tables: BasisTables, element_counts):
-    """The dense solve: ``psi`` after each count of elements from the identity,
-    for counts in descending order.
+def _dense_propagate(a: np.ndarray, rows):
+    """The dense solve: ``psi`` after each row's count of elements from the
+    identity, for ``(num_elements, tables)`` rows of one basis count with
+    element counts in descending order.
 
     Rows sit on the leading axis of the systems and of the states, which
     stack as (rows, 1, n, n) (``assemble_rhs``); with one active row the
     operands are that row's 2-D views, as for a single count.
     """
     n = a.shape[0]
+    tables = rows[0][1]
+    element_counts = [count for count, _ in rows]
     # equal elements of width 1/E map onto [-1, 1] with scale 2E; only a march
     # of several rows stacks them
     systems = [assemble_system(a, 2.0 * count, tables) for count in element_counts]
@@ -271,9 +335,10 @@ def _dense_propagate(a: np.ndarray, tables: BasisTables, element_counts):
     return results[::-1]
 
 
-def _pencil_propagate(a: np.ndarray, tables: BasisTables, element_counts):
-    """The pencil solve: ``psi`` after each count of elements from the identity,
-    for counts in descending order.
+def _pencil_propagate(a: np.ndarray, rows):
+    """The pencil solve: ``psi`` after each row's count of elements from the
+    identity, for ``(num_elements, tables)`` rows whose basis and element
+    counts both descend.
 
     Per row, a work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row
     ``k < m`` forms ``u_k`` from it and row ``m`` the end state, which
@@ -283,98 +348,164 @@ def _pencil_propagate(a: np.ndarray, tables: BasisTables, element_counts):
     rows, and ``a``, the inverses and the coupling are bound in real form,
     so that each product is one real BLAS call (the module docstring says
     why).  From it every operand is complex and each block takes ``p = 1``
-    row.  Rows sit on the leading axis of the buffers and inverses, and
-    march in chunks of at most ``CHUNK_BYTES`` of working set.
+    row.  Rows sit on the leading axis of the buffers and inverses, their
+    basis steps right-aligned to the chunk's largest count, and march in
+    chunks of at most ``CHUNK_BYTES`` of working set.
     """
     n = a.shape[0]
-    m = tables.m
-    if n < COMPLEX_MIN_SIZE:
-        p, coupling, a_form = 2, tables.pencil_real, real_form(a)
-    else:
-        p, coupling, a_form = 1, tables.pencil, a
-    # a row's state and embedded inverses
-    row_bytes = coupling.itemsize * (p * (m + 1) * n * n + m * (p * n) ** 2)
-    chunk = max(1, CHUNK_BYTES // row_bytes)
+    p, a_form = (2, real_form(a)) if n < COMPLEX_MIN_SIZE else (1, a)
     results = []
-    for start in range(0, len(element_counts), chunk):
-        results += _pencil_chunk(a, a_form, p, coupling, tables, element_counts[start:start + chunk])
+    start = 0
+    while start < len(rows):
+        # a row's state and embedded inverses, right-aligned to the chunk's
+        # largest basis count, which its first row has
+        m = rows[start][1].m
+        row_bytes = 16 // p * (p * (m + 1) * n * n + m * (p * n) ** 2)
+        stop = start + max(1, CHUNK_BYTES // row_bytes)
+        results += _pencil_chunk(a, a_form, p, rows[start:stop])
+        start = stop
     return results
 
 
-def _pencil_chunk(a, a_form, p, coupling, tables, counts):
+def _pencil_chunk(a, a_form, p, rows):
     """The march of one chunk of rows, as ``_pencil_propagate`` sets it up.
 
-    Its buffers are freed when it returns, before the next chunk allocates
-    its own: one row at a time then reuses the same memory, as one ``expm``
-    call after another does.
+    Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
+    inverses, and its state at ``m``, where ``m`` is the chunk's largest
+    count.  Its buffers are freed when it returns, before the next chunk
+    allocates its own: one row at a time then reuses the same memory, as one
+    ``expm`` call after another does.
     """
     n = a.shape[0]
-    m = tables.m
-    # the diagonal blocks of the triangularised system, one per basis step
-    # and row, inverted as complex matrices; they stack as (rows m, n, n),
-    # as numpy's inv takes about a tenth longer with a leading axis more
-    shifted = -tables.pencil.diagonal()[:m, None, None] * a
-    if len(counts) > 1:
-        shifted = np.concatenate([shifted] * len(counts))
-    diagonals = shifted.reshape(len(counts), m, n * n)[:, :, :: n + 1]
-    for row, count in enumerate(counts):
-        diagonals[row] += 2.0 * count
+    m = rows[0][1].m
+    coupling_of, steps_of = _PENCIL_FORMS[p]
+    # runs: consecutive rows of one basis count, as [start, stop, tables];
+    # active[k]: how many rows reach back to position k, always the first ones;
+    # shifted: the diagonal blocks of the triangularised system, one per basis
+    # step and row, inverted as complex matrices and stacked flat position by
+    # position, so that the rows active at position k are the blocks from
+    # offsets[k] (numpy's inv takes about a tenth longer with a leading axis more)
+    if len(rows) == 1:
+        runs, active, offsets = [[0, 1, rows[0][1]]], [1] * m, range(m + 1)
+        shifted = rows[0][1].pencil_shifts * a
+        scales = 2.0 * rows[0][0]
+    else:
+        runs = [[0, 1, rows[0][1]]]
+        for row in range(1, len(rows)):
+            if rows[row][1].m == runs[-1][2].m:
+                runs[-1][1] = row + 1
+            else:
+                runs.append([row, row + 1, rows[row][1]])
+        active = [0] * m
+        for _, stop, tables in runs:
+            active[m - tables.m:] = [stop] * tables.m
+        offsets = list(itertools.accumulate(active, initial=0))
+        basis_counts = np.array([tables.m for _, tables in rows])
+        # step[r, k]: row r's basis step at position k, negative before it starts
+        step = np.arange(m) - (m - basis_counts)[:, None]
+        # the rows' steps in the order of the stack: position-major, row-minor
+        order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
+        shifted = np.concatenate([tables.pencil_shifts for _, tables in rows])[order] * a
+        scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
+    shifted.reshape(-1, n * n)[:, :: n + 1] += scales
+    # the shifted blocks stay allocated until the chunk returns: freed here,
+    # before the embedding, they let glibc trim the heap after every call,
+    # and expm_large's n = 32, m = 16 op took 224 page faults and 8% longer
     inverse = np.linalg.inv(shifted)
-    # freed before the embedding below, which lowers the set-up's peak memory
-    del shifted
     if p == 2:
         inverse = real_form(inverse)
-    # a chunk of one row keeps a single count's 2-D buffers; several rows
-    # stack on a leading axis
-    lead = (len(counts),) if len(counts) > 1 else ()
-    inverse = inverse.reshape(lead + (m, p * n, p * n))
-    state = np.zeros(lead + (p * (m + 1), n * n), dtype=coupling.dtype)
-    blocks = state.reshape(lead + (m + 1, p * n, n))
+    if len(runs) > 1:
+        # rows of several basis counts right-align their coupling matrices;
+        # each row reads only its own block
+        size = p * (m + 1)
+        coupling = np.empty((len(rows), size, size), dtype=inverse.dtype)
+        for first, stop, tables in runs:
+            own = coupling_of(tables)
+            coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
+    elif len(rows) > 1:
+        # rows of one basis count share their coupling rows, which broadcast
+        # over however many rows are active
+        couples = [functools.partial(np.matmul, step_rows) for step_rows in steps_of(rows[0][1])[:m]]
+    state = np.zeros((len(rows), p * (m + 1), n * n), dtype=inverse.dtype)
+    blocks = state.reshape(len(rows), m + 1, p * n, n)
     # psi = I: ones on the diagonal of the flattened (real part of the) state
-    state[..., p * m, :: n + 1] = 1.0
-    u_rows = np.empty(lead + (p, n * n), dtype=coupling.dtype)
-    rhs = np.empty(lead + (p * n, n), dtype=coupling.dtype)
+    state[:, p * m, :: n + 1] = 1.0
+    u_rows = np.empty((len(rows), p, n * n), dtype=inverse.dtype)
+    u_blocks = u_rows.reshape(len(rows), p * n, n)
+    rhs = np.empty((len(rows), p * n, n), dtype=inverse.dtype)
+    times_a = functools.partial(np.matmul, a_form)
+
+    def bind(num_active):
+        """The calls of one element over the first ``num_active`` rows.
+
+        Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
+        u_k, rhs, solve, y_k)`` step: each product over the rows active there.
+        Then the end combines as ``(combine, tail, out)``, and the end state
+        with the rows it is copied from.  A prologue of ``(couple, tail, out)``
+        runs before the steps; only complex operands need it (see below).
+        """
+        steps = []
+        # the first row's 2-D operands, which a position with one active row binds,
+        # and the stacked operands of the first rows_k rows, sliced once per count
+        first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], rhs[0], blocks[0]
+        first_u_blocks, first_steps = u_blocks[0], steps_of(rows[0][1])
+        stacked = {}
+        for k in range(m - 1, -1, -1):
+            rows_k = min(num_active, active[k])
+            if rows_k == 1:
+                # ndarray.dot bound once skips np.dot's dispatch, dearer than the
+                # arithmetic at small n; every output is C-contiguous and aliases no input
+                steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, a_form.dot,
+                              first_u_blocks, first_rhs, inverse[offsets[k]].dot, first_blocks[k]))
+                continue
+            if rows_k not in stacked:
+                stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], u_blocks[:rows_k],
+                                   rhs[:rows_k], blocks[:rows_k])
+            row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
+            couple = couples[k] if len(runs) == 1 else functools.partial(
+                np.matmul, coupling[:rows_k, p * k:p * k + p, p * k + p:])
+            steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
+                          functools.partial(np.matmul, inverse[offsets[k]:offsets[k] + rows_k]),
+                          row_blocks[:, k]))
+        active_runs = [(first, min(stop, num_active), tables)
+                       for first, stop, tables in runs if first < num_active]
+        prologue = []
+        if p == 1 and num_active > 1:
+            # np.matmul rounds the (1 x 1)(1 x n^2) complex product of step
+            # m - 1 unlike ndarray.dot, which scales each run of one basis count
+            # by its 0-d weight: the first run in the step, the others before it
+            prologue = [(steps_of(tables)[tables.m - 1].reshape(()).dot, state[first:stop, m],
+                         u_rows[first:stop, 0]) for first, stop, tables in active_runs]
+            steps[0] = prologue.pop(0) + steps[0][3:]
+        # the end rows differ in length between basis counts; one run is one call
+        ends = []
+        for first, stop, tables in active_runs:
+            end_row, tail = steps_of(tables)[tables.m], p * (m - tables.m)
+            if stop - first == 1:
+                ends.append((end_row.dot, state[first, tail:], u_rows[first]))
+            else:
+                ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:], u_rows[first:stop]))
+        if num_active == 1:
+            return prologue, steps, ends, state[0, p * m:], u_rows[0]
+        return prologue, steps, ends, state[:num_active, p * m:], u_rows[:num_active]
+
     finished = []
-    for rows, elements in _segments(counts):
-        # each stretch binds one call per product for all its active rows
-        if rows == 1:
-            # a single row's 2-D operands: ndarray.dot bound once skips np.dot's
-            # dispatch, dearer than the arithmetic at small n; every output is
-            # C-contiguous and aliases no input
-            row_state, row_u, row_rhs, row_inverse, row_blocks = (
-                (state[0], u_rows[0], rhs[0], inverse[0], blocks[0]) if lead
-                else (state, u_rows, rhs, inverse, blocks))
-            back_substitution = [
-                (coupling[p * k:p * k + p, p * k + p:].dot, row_state[p * k + p:], row_u,
-                 row_inverse[k].dot, row_blocks[k])
-                for k in range(m - 1, -1, -1)
-            ]
-            times_a, end_combine = a_form.dot, coupling[p * m:].dot
-        else:
-            row_state, row_u, row_rhs = state[:rows], u_rows[:rows], rhs[:rows]
-            back_substitution = [
-                (functools.partial(np.matmul, coupling[p * k:p * k + p, p * k + p:]),
-                 row_state[:, p * k + p:], row_u,
-                 functools.partial(np.matmul, inverse[:rows, k]), blocks[:rows, k])
-                for k in range(m - 1, -1, -1)
-            ]
-            if p == 1:
-                # np.matmul rounds the (1 x 1)(1 x n^2) complex product of step
-                # m - 1 unlike ndarray.dot, which scales row by row by a 0-d weight
-                back_substitution[0] = (coupling[m - 1:m, m:].reshape(()).dot,
-                                        row_state[:, m], row_u[:, 0], *back_substitution[0][3:])
-            times_a = functools.partial(np.matmul, a_form)
-            end_combine = functools.partial(np.matmul, coupling[p * m:])
-        u_k, end_state = row_u.reshape(row_rhs.shape), row_state[..., p * m:, :]
-        for _ in range(elements):
-            for couple, tail, out, solve, y_k in back_substitution:
-                couple(tail, out=out)
-                times_a(u_k, out=row_rhs)
-                solve(row_rhs, out=y_k)
-            end_combine(row_state, out=row_u)
-            end_state[...] = row_u
+    for num_active, elements in _segments([count for count, _ in rows]):
+        # rows of one count retire together, after a stretch of no elements
+        if elements:
+            prologue, steps, ends, end_state, end_rows = bind(num_active)
+            for _ in range(elements):
+                for couple, tail, out in prologue:
+                    couple(tail, out=out)
+                for couple, tail, u, times, u_k, rhs_k, solve, y_k in steps:
+                    couple(tail, out=u)
+                    times(u_k, out=rhs_k)
+                    solve(rhs_k, out=y_k)
+                for combine, tail, out in ends:
+                    combine(tail, out=out)
+                end_state[...] = end_rows
         # the last active row has marched its count
-        last = blocks[rows - 1, m] if lead else blocks[m]
+        last = blocks[num_active - 1, m]
         if p == 1:
             finished.append(last.copy())
         else:

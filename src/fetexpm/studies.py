@@ -8,7 +8,7 @@ import numpy as np
 
 from .matio import as_complex_matrix
 from .oracles import EXACT_EXPM, NAMED_MATRICES, expm_taylor_squaring
-from .propagator import expm, expm_each
+from .propagator import expm_each
 
 # element counts examined per reference matrix in the minimum-basis study
 TABLE1_STEPS = {
@@ -60,7 +60,7 @@ def _min_basis_search(a, reference, element_counts, tolerance, max_basis) -> lis
     for m in range(1, max_basis + 1):
         if not searching:
             break
-        results = expm_each(a, [element_counts[row] for row in searching], m)
+        results = expm_each(a, [(element_counts[row], m) for row in searching])
         # the largest entrywise error; both operands were checked and shaped above
         for row, result in zip(searching, results):
             if np.max(np.abs(result - reference)) <= tolerance:
@@ -88,10 +88,11 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
 
     ``entry`` is a 0-based (row, column) pair whose value is recorded per
     run; errors are measured against the Taylor scaling-and-squaring
-    reference ``expm_taylor_squaring``.  A sweep over elements marches all
-    its rows together (``expm_each``), a sweep over basis counts makes one
-    ``expm`` call per row; either way each row is bitwise what one ``expm``
-    call at its counts returns.
+    reference ``expm_taylor_squaring``.  The whole sweep is one
+    ``expm_each`` call: a sweep over elements is one march, and so is a
+    sweep over basis counts from n = 3, while the dense solve (n <= 2)
+    marches each basis count on its own.  Either way each row is bitwise
+    what one ``expm`` call at its counts returns.
 
     Raises
     ------
@@ -125,11 +126,7 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
         raise ValueError(f"entry {entry} out of range for size {n}")
     reference = expm_taylor_squaring(a)
     values = range(lo, hi + 1)
-    if vary == "elements":
-        # rows of one basis count share the march: one call for the whole sweep
-        runs = zip(values, [fixed] * len(values), expm_each(a, values, fixed))
-    else:
-        runs = ((fixed, m, expm(a, num_elements=fixed, num_basis=m).result) for m in values)
+    counts = [(count, fixed) if vary == "elements" else (fixed, count) for count in values]
     return [
         StudyRow(
             num_elements=num_elements,
@@ -137,5 +134,5 @@ def sweep(a, entry, vary: str = "elements", fixed: int = 8, lo: int = 5, hi: int
             max_abs_error=float(np.max(np.abs(result - reference))),
             selected_entry=complex(result[row, col]),
         )
-        for num_elements, num_basis, result in runs
+        for (num_elements, num_basis), result in zip(counts, expm_each(a, counts))
     ]

@@ -184,6 +184,25 @@ def test_real_form_multiplies_stacked_parts():
         np.testing.assert_allclose(product[:4] + 1j * product[4:], block @ v, rtol=0, atol=1e-14)
 
 
+def test_pencil_slices_are_cached_read_only_views():
+    # the shifts and step rows every pencil solve reads are the entries of the
+    # coupling matrices themselves, sliced once per tables
+    for m in range(1, 41):
+        tables = build_tables(m)
+        assert_array_equal(tables.pencil_shifts[:, 0, 0], -tables.pencil.diagonal()[:m])
+        for p, coupling, steps in ((1, tables.pencil, tables.pencil_steps),
+                                   (2, tables.pencil_real, tables.pencil_real_steps)):
+            assert len(steps) == m + 1
+            for k, rows in enumerate(steps[:m]):
+                assert np.shares_memory(rows, coupling) and rows.shape == (p, p * (m - k))
+                assert_array_equal(rows, coupling[p * k:p * k + p, p * k + p:])
+            assert np.shares_memory(steps[m], coupling) and (steps[m] == coupling[p * m:]).all()
+        for cached in ("pencil_shifts", "pencil_steps", "pencil_real_steps"):
+            assert getattr(tables, cached) is getattr(tables, cached)
+        assert not tables.pencil_shifts.flags.writeable
+        assert not any(rows.flags.writeable for rows in tables.pencil_real_steps)
+
+
 def test_pencil_real_form_is_the_pencil_in_two_by_two_blocks():
     # every coupling entry c becomes [[Re c, -Im c], [Im c, Re c]], exactly,
     # so it combines blocks stored as stacked real and imaginary parts

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -288,7 +289,7 @@ def test_non_finite_state_stays_non_finite(n):
     # expm runs each solve under this errstate; called directly, it is the caller's
     with np.errstate(over="ignore", invalid="ignore"):
         finite = [
-            bool(np.isfinite(propagate(as_complex_matrix(6.25 * e * np.eye(n)), tables, [e])[0]).all())
+            bool(np.isfinite(propagate(as_complex_matrix(6.25 * e * np.eye(n)), [(e, tables)])[0]).all())
             for e in range(1, 129)
         ]
     first = finite.index(False)
@@ -611,6 +612,34 @@ def test_pencil_overflowing_inverse_is_reported(monkeypatch):
             expm(np.eye(16) / 4.0)
 
 
+@functools.cache
+def march_matrix(n):
+    """The seeded n x n matrix of the march tests."""
+    return as_complex_matrix(random_unit_disk(np.random.default_rng(2300 + n), n) * 3.0)
+
+
+@functools.cache
+def one_expm(n, num_elements, num_basis):
+    """``expm(march_matrix(n), num_elements, num_basis).result``, computed once and
+    shared by the march tests: a march over elements and one over basis counts
+    need many of the same references."""
+    return expm(march_matrix(n), num_elements, num_basis).result
+
+
+def three_rows(n, m):
+    """A chunk budget of about three rows of basis count m at size n."""
+    return 3 * 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
+
+
+def assert_march_matches_one_expm_per_row(n, rows):
+    results = expm_each(march_matrix(n), rows)
+    assert len(results) == len(rows)
+    for (num_elements, num_basis), result in zip(rows, results):
+        assert_array_equal(result, one_expm(n, num_elements, num_basis),
+                           err_msg=f"n={n} E={num_elements} m={num_basis}")
+        assert result.shape == (n, n) and result.flags.owndata
+
+
 # count lists for the stacked march: one count, unsorted, repeated, and 1..top,
 # which runs top rows of which one retires after each element
 def march_count_lists(top):
@@ -626,22 +655,42 @@ def test_stacked_march_matches_one_expm_per_count_bitwise(monkeypatch, n):
     # in chunks of three or four (at n >= 16 and m = 16 the default budget
     # already holds at most a few rows).  From n = 33 the one-count references for
     # m = 8 and 16 stop at 12 elements, which keeps the test within seconds
-    rng = np.random.default_rng(2300 + n)
-    a = as_complex_matrix(random_unit_disk(rng, n) * 3.0)
     for m in (1, 2, 5, 8, 16):
         top = 40 if n <= 16 or m <= 5 else 12
-        single = {count: expm(a, count, m).result for count in range(1, top + 1)}
-        row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
-        for budget in (None, 3 * row_bytes):
+        for budget in (None, three_rows(n, m)):
             if budget is not None:
                 monkeypatch.setattr("fetexpm.propagator.CHUNK_BYTES", budget)
             for counts in march_count_lists(top):
-                results = expm_each(a, counts, m)
-                assert len(results) == len(counts)
-                for count, result in zip(counts, results):
-                    assert_array_equal(result, single[count], err_msg=f"m={m} count={count}")
-                    assert result.shape == (n, n) and result.flags.owndata
+                assert_march_matches_one_expm_per_row(n, [(count, m) for count in counts])
             monkeypatch.undo()
+
+
+# basis count lists for the basis march: one count, unsorted, repeated, 1..16
+# and 5..top, whose rows right-align their steps to the largest count
+def basis_count_lists(top):
+    return [9], [12, 5, 16, 2, 7], [6, 3, 6, 6, 1], list(range(1, 17)), list(range(5, top + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 39, 40, 41])
+def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
+    # rows of one element count and several basis counts: from n = 3 one march
+    # right-aligns their basis steps, and the dense solve marches each count on
+    # its own; either way every row equals its own expm call to the bit.  Each
+    # list is marched whole and, with a budget of about three rows, in chunks.
+    # From n = 39 the lists stop at 16 basis functions, which keeps the test
+    # within seconds
+    top = 40 if n <= 16 else 16
+    for budget in (None, three_rows(n, top)):
+        if budget is not None:
+            monkeypatch.setattr("fetexpm.propagator.CHUNK_BYTES", budget)
+        for num_elements in (1, 3, 8):
+            for counts in basis_count_lists(top):
+                assert_march_matches_one_expm_per_row(n, [(num_elements, m) for m in counts])
+        # mixed rows, in no order: marches that share basis counts, element
+        # counts or neither, and a pencil march whose rows differ in both
+        assert_march_matches_one_expm_per_row(
+            n, [(3, 8), (8, 5), (1, 16), (3, 5), (8, 8), (5, 2), (3, 8), (1, 1), (8, 12), (5, 16)])
+        monkeypatch.undo()
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
@@ -651,35 +700,41 @@ def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
     monkeypatch.setattr("fetexpm.propagator.assemble_system", failing)
     monkeypatch.setattr(np.linalg, "inv", failing)
     for size in (2, 3):
-        for bad in ([3, 0], [0], [5, -1, 2]):
+        for bad in ([(3, 8), (0, 8)], [(0, 8)], [(5, 8), (-1, 8), (2, 8)], [(3, 8), (3, 0)], [(3, -2)]):
             with pytest.raises(ValueError, match=">= 1"):
                 expm_each(np.eye(size), bad)
-        for bad in ([3, 2.5], [8.0], [4, "4"]):
+        for bad in ([(3, 8), (2.5, 8)], [(8.0, 8)], [(4, 8), ("4", 8)], [(3, 5.5)], [(3, 8), (3, 8.0)]):
             with pytest.raises(TypeError):
                 expm_each(np.eye(size), bad)
-        with pytest.raises(TypeError):
-            expm_each(np.eye(size), [3], 5.5)
-    # no count, no march
+    # no row, no march
     assert expm_each(np.eye(3), []) == []
 
 
 def test_stacked_march_reports_an_overflowing_row():
     # one element of 800 I stays finite; 128 of them overflow, and so does the
-    # march that carries both rows, without a warning, in either solve
+    # march that carries both rows, without a warning, in either solve: over
+    # element counts, over basis counts and over both
     for size in (1, 2, 3, 16):
         a = 800.0 * np.eye(size)
         assert np.isfinite(expm(a, 1).result).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for counts in ([1, 128], [128, 1], [1, 2, 128, 3]):
+            for rows in ([(1, 8), (128, 8)], [(128, 8), (1, 8)], [(1, 8), (2, 8), (128, 8), (3, 8)],
+                         [(128, 5), (128, 8), (128, 2)], [(1, 5), (1, 8), (128, 6), (1, 2)]):
                 with pytest.raises(OverflowError, match="solution"):
-                    expm_each(a, counts)
+                    expm_each(a, rows)
 
 
 def test_stacked_march_raises_on_a_singular_row():
     # E = 3, m = 1 makes the block system of [[4.0]] (and the shifted block
-    # of 4 I) exactly singular; a march that carries that row raises
+    # of 4 I) exactly singular; a march that carries that row raises, over
+    # element counts or basis counts alike
     for size in (1, 3):
+        a = 4.0 * np.eye(size)
         with pytest.raises(np.linalg.LinAlgError):
-            expm_each(4.0 * np.eye(size), [1, 2, 3, 4], 1)
-        assert len(expm_each(4.0 * np.eye(size), [1, 2, 4], 1)) == 3
+            expm(a, 3, 1)
+        for rows in ([(1, 1), (2, 1), (3, 1), (4, 1)], [(3, 5), (3, 1), (3, 8)]):
+            with pytest.raises(np.linalg.LinAlgError):
+                expm_each(a, rows)
+        assert len(expm_each(a, [(1, 1), (2, 1), (4, 1)])) == 3
+        assert len(expm_each(a, [(3, 5), (3, 2), (3, 8)])) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fetexpm import expm, studies
+from fetexpm import expm, propagator, studies
 from fetexpm.studies import min_basis_for_tolerance, sweep, table1
 from fetexpm.oracles import exact_m1, exact_m2, m1, m2, m3, m4
 
@@ -143,28 +143,35 @@ def test_sweep_reads_counts_as_integers_before_the_reference(monkeypatch):
 
 
 def test_sweep_over_elements_marches_once(monkeypatch):
-    # every row of one basis count comes from one march, bitwise equal to one
-    # expm call per row; a sweep over basis counts still makes one call per row
-    calls = []
-    real = studies.expm_each
+    # a sweep over either count makes one expm_each call, from n = 3 one march,
+    # and every row is bitwise equal to one expm call per row
+    calls, marches = [], []
+    real, real_march = studies.expm_each, propagator._march
 
-    def counting(a, element_counts, num_basis=8):
-        calls.append((list(element_counts), num_basis))
-        return real(a, element_counts, num_basis)
+    def counting(a, rows):
+        calls.append(list(rows))
+        return real(a, rows)
+
+    def counting_march(a, rows):
+        marches.append(len(rows))
+        return real_march(a, rows)
 
     monkeypatch.setattr(studies, "expm_each", counting)
+    monkeypatch.setattr(propagator, "_march", counting_march)
     for a, entry in ((m2(), (1, 0)), (m3(), (4, 4)), (m4(), (2, 2))):
-        calls.clear()
-        rows = sweep(a, entry=entry, fixed=6, lo=3, hi=12)
-        assert calls == [(list(range(3, 13)), 6)]
         reference = studies.expm_taylor_squaring(a)
-        for row in rows:
-            result = expm(a, row.num_elements, row.num_basis).result
-            assert row.selected_entry == complex(result[entry])
-            assert row.max_abs_error == float(np.max(np.abs(result - reference)))
-    calls.clear()
-    sweep(m2(), entry=(0, 0), vary="basis", lo=5, hi=7)
-    assert calls == []
+        sweeps = (("elements", [(e, 6) for e in range(3, 13)]), ("basis", [(6, m) for m in range(3, 13)]))
+        for vary, rows in sweeps:
+            calls.clear()
+            marches.clear()
+            swept = sweep(a, entry=entry, vary=vary, fixed=6, lo=3, hi=12)
+            assert calls == [rows]
+            # the dense solve (n = 2) marches each basis count on its own
+            assert marches == ([1] * 10 if vary == "basis" and a.shape[0] == 2 else [10])
+            for row in swept:
+                result = expm(a, row.num_elements, row.num_basis).result
+                assert row.selected_entry == complex(result[entry])
+                assert row.max_abs_error == float(np.max(np.abs(result - reference)))
 
 
 def test_table1_search_marches_the_counts_still_searching(monkeypatch):
@@ -173,20 +180,20 @@ def test_table1_search_marches_the_counts_still_searching(monkeypatch):
     calls = []
     real = studies.expm_each
 
-    def counting(a, element_counts, num_basis=8):
-        calls.append((list(element_counts), num_basis))
-        return real(a, element_counts, num_basis)
+    def counting(a, rows):
+        calls.append(list(rows))
+        return real(a, rows)
 
     monkeypatch.setattr(studies, "expm_each", counting)
     rows = table1("unit2")
     steps = studies.TABLE1_STEPS["unit2"]
-    expected = [([e for e, found in rows if found >= m], m) for m in range(1, 12)]
+    expected = [[(e, m) for e, found in rows if found >= m] for m in range(1, 12)]
     assert calls == expected
-    assert calls[0] == (list(steps), 1) and calls[-1] == ([1], 11)
+    assert calls[0] == [(e, 1) for e in steps] and calls[-1] == [(1, 11)]
     # a count that no basis count up to max_basis serves is searched to the end
     calls.clear()
     assert studies._min_basis_search(m2(), exact_m2(), (1, 4), 1e-14, 9) == [None, 8]
-    assert calls == [([1, 4], m) for m in range(1, 9)] + [([1], 9)]
+    assert calls == [[(1, m), (4, m)] for m in range(1, 9)] + [[(1, 9)]]
 
 
 def test_singular_row_raises_from_both_studies(monkeypatch):
