@@ -59,10 +59,11 @@ advances them together.  Their rows sit on a new outermost axis of the
 states, of the dense systems and of the pencil's inverses, and each step is
 one call for all active rows: one ``einsum``, ``np.linalg.solve`` and
 end-value product over that axis in the dense solve, and one ``np.matmul``
-for each couple, ``a u_k`` and inverse product in the pencil solve.  Rows of
-one basis count differ only in the element width.  They go longest first,
-and a row retires once it has marched its own count, so the active rows are
-always a prefix and the march runs max(E) elements, not their sum.
+for each couple, ``a u_k`` and inverse product in the pencil solve on real
+forms.  Rows of one basis count differ only in the element width.  They go
+longest first, and a row retires once it has marched its own count, so the
+active rows are always a prefix and the march runs max(E) elements, not
+their sum.
 
 From n = 3, rows of one element count and several basis counts share a
 march too.  Each row's basis steps are right-aligned to the chunk's largest
@@ -90,10 +91,7 @@ bits (ROADMAP, measured dead ends):
   solution in 1396 of 1600 random cases (n = 1, 2, m = 1..20).
 
 Every row stays bitwise equal to one ``expm`` call: each stacked call runs
-the same LAPACK or BLAS kernel per row.  The one exception is the pencil's
-(1 x 1)(1 x n^2) complex product at position M - 1, which ``np.matmul``
-rounds differently from ``ndarray.dot``; it keeps ``ndarray.dot``, with one
-0-d weight per run of one basis count that scales its rows one by one.
+the same LAPACK or BLAS kernel per row.
 
 A position with one active row, which is all of ``expm``'s single row,
 binds that row's 2-D operands and bound ``ndarray.dot`` calls, and only
@@ -103,8 +101,16 @@ binding differs.  The pencil solve marches its rows in chunks whose working
 set, state buffer and embedded inverses right-aligned to the chunk's
 largest count, stays within ``CHUNK_BYTES``; a chunk that outgrows the 2 MiB
 L2 cache of the machine it was measured on runs slower than one row at a
-time (``BENCH_23.json``).  At n = 64 a row alone fills the budget, so a
-chunk is one row.
+time (``BENCH_23.json``).
+
+Only real forms stack: from ``COMPLEX_MIN_SIZE`` every chunk holds one row,
+so a march on complex operands advances its rows one after another.
+Stacking them gained little: one row at a time took 1.01-1.08x the stacked
+time over sweeps of either count at n = 40, 48 and 56, the most on sweeps
+over elements at m <= 2 (``BENCH_25.json``), and no benchmark workload runs
+them.  And ``np.matmul`` rounds the (1 x 1)(1 x n^2) complex product of the
+first back-substitution step differently from ``ndarray.dot``, so stacked
+complex rows need a binding of their own.
 
 Only ``expm`` and ``expm_each`` check input and decide overflow, by one
 rule for both solves (``expm``'s Raises section); the functions here trust
@@ -125,20 +131,12 @@ from .matio import as_complex_matrix
 PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
-# largest working set, state and embedded inverses, of one chunk of rows that the
-# pencil solve marches together (see the module docstring).  Measured over a
-# sweep of E = 5..40 at m = 8 (BENCH_23.json): 1 MiB holds 10 rows at n = 16
-# and 4 at n = 24, where it beat 256 KiB, 4 MiB and no chunks; it holds 2 rows
-# at n = 32 and one at n = 64, where no chunks ran 0.67-0.83x one row at a time
+# largest working set, state and embedded inverses, of one chunk of real-form rows
+# that the pencil solve marches together (see the module docstring).  Measured
+# over a sweep of E = 5..40 at m = 8 (BENCH_23.json): 1 MiB holds 10 rows at
+# n = 16 and 4 at n = 24, where it beat 256 KiB, 4 MiB and no chunks, and 2 at
+# n = 32, where it ran 0.83x and no chunks 0.67x one row at a time
 CHUNK_BYTES = 1 << 20
-
-
-# the coupling matrix and its step rows that the pencil solve reads, by the
-# number p of real rows per block: complex operands (1) or real forms (2)
-_PENCIL_FORMS = {
-    1: (operator.attrgetter("pencil"), operator.attrgetter("pencil_steps")),
-    2: (operator.attrgetter("pencil_real"), operator.attrgetter("pencil_real_steps")),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,10 +345,11 @@ def _pencil_propagate(a: np.ndarray, rows):
     block as the stacked real ``[Re Y[k]; Im Y[k]]`` in ``p = 2`` of its
     rows, and ``a``, the inverses and the coupling are bound in real form,
     so that each product is one real BLAS call (the module docstring says
-    why).  From it every operand is complex and each block takes ``p = 1``
-    row.  Rows sit on the leading axis of the buffers and inverses, their
-    basis steps right-aligned to the chunk's largest count, and march in
-    chunks of at most ``CHUNK_BYTES`` of working set.
+    why).  Such rows sit on the leading axis of the buffers and inverses,
+    their basis steps right-aligned to the chunk's largest count, and march
+    in chunks of at most ``CHUNK_BYTES`` of working set.  From
+    ``COMPLEX_MIN_SIZE`` every operand is complex, each block takes ``p = 1``
+    row, and each row is a chunk of its own.
     """
     n = a.shape[0]
     p, a_form = (2, real_form(a)) if n < COMPLEX_MIN_SIZE else (1, a)
@@ -358,10 +357,10 @@ def _pencil_propagate(a: np.ndarray, rows):
     start = 0
     while start < len(rows):
         # a row's state and embedded inverses, right-aligned to the chunk's
-        # largest basis count, which its first row has
+        # largest basis count, which its first row has; complex rows march alone
         m = rows[start][1].m
-        row_bytes = 16 // p * (p * (m + 1) * n * n + m * (p * n) ** 2)
-        stop = start + max(1, CHUNK_BYTES // row_bytes)
+        row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
+        stop = start + (max(1, CHUNK_BYTES // row_bytes) if p == 2 else 1)
         results += _pencil_chunk(a, a_form, p, rows[start:stop])
         start = stop
     return results
@@ -372,13 +371,15 @@ def _pencil_chunk(a, a_form, p, rows):
 
     Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
     inverses, and its state at ``m``, where ``m`` is the chunk's largest
-    count.  Its buffers are freed when it returns, before the next chunk
-    allocates its own: one row at a time then reuses the same memory, as one
-    ``expm`` call after another does.
+    count.  Several rows come only in real form (``p = 2``).  Its buffers
+    are freed when it returns, before the next chunk allocates its own: one
+    row at a time then reuses the same memory, as one ``expm`` call after
+    another does.
     """
     n = a.shape[0]
     m = rows[0][1].m
-    coupling_of, steps_of = _PENCIL_FORMS[p]
+    # the first row's step rows in its own form; any other row is in real form
+    first_steps = rows[0][1].pencil_real_steps if p == 2 else rows[0][1].pencil_steps
     # runs: consecutive rows of one basis count, as [start, stop, tables];
     # active[k]: how many rows reach back to position k, always the first ones;
     # shifted: the diagonal blocks of the triangularised system, one per basis
@@ -420,12 +421,12 @@ def _pencil_chunk(a, a_form, p, rows):
         size = p * (m + 1)
         coupling = np.empty((len(rows), size, size), dtype=inverse.dtype)
         for first, stop, tables in runs:
-            own = coupling_of(tables)
+            own = tables.pencil_real
             coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
     elif len(rows) > 1:
         # rows of one basis count share their coupling rows, which broadcast
         # over however many rows are active
-        couples = [functools.partial(np.matmul, step_rows) for step_rows in steps_of(rows[0][1])[:m]]
+        couples = [functools.partial(np.matmul, step_rows) for step_rows in first_steps[:m]]
     state = np.zeros((len(rows), p * (m + 1), n * n), dtype=inverse.dtype)
     blocks = state.reshape(len(rows), m + 1, p * n, n)
     # psi = I: ones on the diagonal of the flattened (real part of the) state
@@ -441,14 +442,13 @@ def _pencil_chunk(a, a_form, p, rows):
         Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
         u_k, rhs, solve, y_k)`` step: each product over the rows active there.
         Then the end combines as ``(combine, tail, out)``, and the end state
-        with the rows it is copied from.  A prologue of ``(couple, tail, out)``
-        runs before the steps; only complex operands need it (see below).
+        with the rows it is copied from.
         """
         steps = []
         # the first row's 2-D operands, which a position with one active row binds,
         # and the stacked operands of the first rows_k rows, sliced once per count
         first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], rhs[0], blocks[0]
-        first_u_blocks, first_steps = u_blocks[0], steps_of(rows[0][1])
+        first_u_blocks = u_blocks[0]
         stacked = {}
         for k in range(m - 1, -1, -1):
             rows_k = min(num_active, active[k])
@@ -469,34 +469,25 @@ def _pencil_chunk(a, a_form, p, rows):
                           row_blocks[:, k]))
         active_runs = [(first, min(stop, num_active), tables)
                        for first, stop, tables in runs if first < num_active]
-        prologue = []
-        if p == 1 and num_active > 1:
-            # np.matmul rounds the (1 x 1)(1 x n^2) complex product of step
-            # m - 1 unlike ndarray.dot, which scales each run of one basis count
-            # by its 0-d weight: the first run in the step, the others before it
-            prologue = [(steps_of(tables)[tables.m - 1].reshape(()).dot, state[first:stop, m],
-                         u_rows[first:stop, 0]) for first, stop, tables in active_runs]
-            steps[0] = prologue.pop(0) + steps[0][3:]
         # the end rows differ in length between basis counts; one run is one call
         ends = []
         for first, stop, tables in active_runs:
-            end_row, tail = steps_of(tables)[tables.m], p * (m - tables.m)
+            end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
+            tail = p * (m - tables.m)
             if stop - first == 1:
                 ends.append((end_row.dot, state[first, tail:], u_rows[first]))
             else:
                 ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:], u_rows[first:stop]))
         if num_active == 1:
-            return prologue, steps, ends, state[0, p * m:], u_rows[0]
-        return prologue, steps, ends, state[:num_active, p * m:], u_rows[:num_active]
+            return steps, ends, state[0, p * m:], u_rows[0]
+        return steps, ends, state[:num_active, p * m:], u_rows[:num_active]
 
     finished = []
     for num_active, elements in _segments([count for count, _ in rows]):
         # rows of one count retire together, after a stretch of no elements
         if elements:
-            prologue, steps, ends, end_state, end_rows = bind(num_active)
+            steps, ends, end_state, end_rows = bind(num_active)
             for _ in range(elements):
-                for couple, tail, out in prologue:
-                    couple(tail, out=out)
                 for couple, tail, u, times, u_k, rhs_k, solve, y_k in steps:
                     couple(tail, out=u)
                     times(u_k, out=rhs_k)

@@ -17,6 +17,7 @@ from fetexpm.propagator import (
     COMPLEX_MIN_SIZE,
     PENCIL_MIN_SIZE,
     _dense_propagate,
+    _pencil_chunk,
     _pencil_propagate,
     assemble_rhs,
     assemble_system,
@@ -646,11 +647,11 @@ def march_count_lists(top):
     return [7], [5, 2, 9, 3], [4, 6, 4, 4, 1], list(range(1, top + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 33, 39, 40, 41])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 33, 39, 40])
 def test_stacked_march_matches_one_expm_per_count_bitwise(monkeypatch, n):
     # every row of one march equals its own expm call to the bit, on the dense
     # solve (n <= 2), on real forms (3 <= n < 40) and on complex operands
-    # (n >= 40), where the first back-substitution step is bound apart; each
+    # (n >= 40), whose rows march one at a time whatever the budget; each
     # count list is marched whole and, with a budget of three real-form rows,
     # in chunks of three or four (at n >= 16 and m = 16 the default budget
     # already holds at most a few rows).  From n = 33 the one-count references for
@@ -671,7 +672,7 @@ def basis_count_lists(top):
     return [9], [12, 5, 16, 2, 7], [6, 3, 6, 6, 1], list(range(1, 17)), list(range(5, top + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 39, 40, 41])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 39, 40])
 def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
     # rows of one element count and several basis counts: from n = 3 one march
     # right-aligns their basis steps, and the dense solve marches each count on
@@ -691,6 +692,26 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
         assert_march_matches_one_expm_per_row(
             n, [(3, 8), (8, 5), (1, 16), (3, 5), (8, 8), (5, 2), (3, 8), (1, 1), (8, 12), (5, 16)])
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
+def test_only_real_form_rows_share_a_chunk(monkeypatch, n):
+    # below the operand switch the default budget stacks several rows of a
+    # sweep in one chunk; from it every row of a sweep over either count
+    # marches alone
+    chunk_sizes = []
+
+    def spying(a, a_form, p, rows):
+        chunk_sizes.append(len(rows))
+        return _pencil_chunk(a, a_form, p, rows)
+
+    monkeypatch.setattr("fetexpm.propagator._pencil_chunk", spying)
+    expm_each(march_matrix(n), [(count, 2) for count in range(5, 41)])
+    expm_each(march_matrix(n), [(8, m) for m in range(1, 13)])
+    if n < COMPLEX_MIN_SIZE:
+        assert max(chunk_sizes) > 1
+    else:
+        assert chunk_sizes == [1] * (36 + 12)
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
