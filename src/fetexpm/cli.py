@@ -10,6 +10,7 @@ failure (a singular block system or an overflow).
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -124,6 +125,13 @@ def _run_sweep(args) -> int:
     return EXIT_OK
 
 
+# built once per process: building takes about ten times as long as parsing, and
+# every in-process main() call would pay it.  Parsing leaves the parser as it
+# was, and each subcommand's function looks up the library function it calls
+# when it runs, so the cached parser still reaches a replaced one.  The table1
+# choices are read from studies.TABLE1_STEPS at that first build: a study added
+# to it later is rejected here, though studies.table1 accepts it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fetexpm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,6 +18,16 @@ count and then marches every element from ``psi(0) = I``:
 
 * ``n <= 2``, the dense solve: the (n m) x (n m) matrix is assembled once,
   and each element solves it for all ``n`` columns with one LAPACK call.
+  Only the first element calls ``np.linalg.solve``, which raises
+  ``LinAlgError`` on an exactly singular system.  Each later element solves
+  the same systems, which LAPACK has factored without a zero pivot, so it
+  calls the gufunc under that wrapper (``numpy.linalg._umath_linalg.solve``)
+  directly: the same array bit for bit, without the wrapper's type checks
+  and ``errstate``, which take half of each call at n = 2, m = 5 (8.1 us
+  against 3.9 us).
+  ``table1``, which runs on the dense solve alone, took 5.7 ms for unit2,
+  17.6 ms for m1 and 5.1 ms for m2 that way, against 7.1, 24.3 and 6.2 ms
+  through the wrapper (best of 40 interleaved calls, ``BENCH_26.json``).
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
   ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
@@ -57,8 +67,8 @@ Several ``(E, m)`` rows of one matrix, as the studies' sweeps and
 minimum-basis searches need (``expm_each``), share ``a``, so one march
 advances them together.  Their rows sit on a new outermost axis of the
 states, of the dense systems and of the pencil's inverses, and each step is
-one call for all active rows: one ``einsum``, ``np.linalg.solve`` and
-end-value product over that axis in the dense solve, and one ``np.matmul``
+one call for all active rows: one ``einsum``, LAPACK solve and end-value
+product over that axis in the dense solve, and one ``np.matmul``
 for each couple, ``a u_k`` and inverse product in the pencil solve on real
 forms.  Rows of one basis count differ only in the element width.  They go
 longest first, and a row retires once it has marched its own count, so the
@@ -123,6 +133,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+# the gufunc np.linalg.solve calls; only the dense march's later elements use it.
+# It is numpy-private, so pyproject.toml caps numpy at the newest release the
+# tests have checked it on (numpy 1.24 to 2.4)
+from numpy.linalg import _umath_linalg
 
 from .basis import BasisTables, build_tables, real_form
 from .matio import as_complex_matrix
@@ -310,6 +324,13 @@ def _dense_propagate(a: np.ndarray, rows):
         systems = np.stack(systems)
         psi = np.repeat(psi[None, None], len(systems), axis=0)
     results = []
+    # the first element, where every row is active, solves through np.linalg.solve,
+    # which raises LinAlgError on an exactly singular system.  Each later element
+    # solves the same systems again, which LAPACK has factored once without a zero
+    # pivot, so it calls the kernel under that wrapper directly: bitwise the same
+    # solution, without the wrapper's type checks and errstate (half of each call)
+    solve = np.linalg.solve
+    factored = functools.partial(_umath_linalg.solve, signature="DD->D")
     for rows, elements in _segments(element_counts):
         # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1
         if rows == 1:
@@ -319,7 +340,8 @@ def _dense_propagate(a: np.ndarray, rows):
             psi, system, blocks = psi[:rows], systems[:rows], (rows, 1, tables.m, n, n)
             to_columns, to_rows = (0, 1, 4, 2, 3), (0, 1, 3, 2)
         for _ in range(elements):
-            coeffs = np.linalg.solve(system, assemble_rhs(a, psi, tables.load))
+            coeffs = solve(system, assemble_rhs(a, psi, tables.load))
+            solve = factored
             # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
             # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
             # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,

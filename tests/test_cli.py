@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from matrix_distance import max_abs_diff
-from fetexpm import expm
+from fetexpm import cli, expm
 from fetexpm.cli import main
 from fetexpm.matio import format_matrix, parse_matrix
 from fetexpm.oracles import exact_m2, m2
@@ -86,6 +86,12 @@ def test_flags_left_out_leave_the_library_defaults(monkeypatch, capsys):
     assert calls == [((), {"num_elements": 3, "num_basis": 5}),
                      ((), {"tolerance": 1e-9, "max_basis": 7}),
                      (((1, 1),), {"vary": "basis", "fixed": 4, "lo": 6, "hi": 9})]
+    # the parser is built once per process and keeps no flag from one call to the next
+    assert cli._build_parser() is cli._build_parser()
+    calls.clear()
+    for argv in (("expm", "m1"), ("table1", "m1"), ("sweep", "m2")):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [((), {}), ((), {}), (((1, 1),), {})]
 
 
 def test_table1_csv_contents_and_determinism(capsys):

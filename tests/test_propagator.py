@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from brute_force import brute_force_rhs, brute_force_system
 from matrix_distance import max_abs_diff
 from random_matrices import random_unit_disk
-from fetexpm import expm, expm_taylor_squaring
+from fetexpm import expm, expm_taylor_squaring, propagator
 from fetexpm.basis import build_tables, real_form
 from fetexpm.matio import as_complex_matrix
 from fetexpm.oracles import exact_m1, m1, m2
@@ -587,6 +587,57 @@ def test_pencil_solve_factors_once_per_call(monkeypatch):
         expm(a, num_elements)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_dense_march_kernel_matches_linalg_solve_bitwise():
+    # after its first element the dense march calls the gufunc under
+    # np.linalg.solve, a numpy private, bound as below; it must return the
+    # public call's array bit for bit, on this numpy and on the oldest one
+    # CI installs, so a numpy that renames or changes it fails here
+    kernel = functools.partial(propagator._umath_linalg.solve, signature="DD->D")
+    rng = np.random.default_rng(26)
+
+    def complex_normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for size in (1, 2, 10, 40, 80):
+        for stack in ((), (5,)):
+            system = complex_normal(*stack, size, size)
+            for columns in (1, 2):
+                rhs = complex_normal(*stack, size, columns)
+                expected = np.linalg.solve(system, rhs)
+                solved = kernel(system, rhs)
+                assert solved.dtype == expected.dtype and solved.shape == expected.shape
+                assert solved.tobytes() == expected.tobytes(), f"N={size} stack={stack} k={columns}"
+
+
+def test_dense_march_calls_linalg_solve_once(monkeypatch):
+    # the first element of a dense march goes through np.linalg.solve, which
+    # raises on a singular system, and every later one calls its kernel: one
+    # public call per march, whatever its element count
+    calls, marches = [], []
+
+    def counting(*args, _real=np.linalg.solve, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+
+    def counting_march(*args, _real=_dense_propagate):
+        marches.append(1)
+        return _real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr("fetexpm.propagator._dense_propagate", counting_march)
+    for num_elements in (1, 8, 58):
+        calls.clear()
+        expm(m1(), num_elements)
+        assert len(calls) == 1
+    # one march over element counts, then one march per basis count
+    for rows, num_marches in (([(count, 8) for count in range(5, 41)], 1),
+                              ([(3, 5), (8, 5), (1, 7), (8, 7), (2, 9)], 3)):
+        calls.clear()
+        marches.clear()
+        expm_each(m1(), rows)
+        assert len(marches) == num_marches and len(calls) == num_marches
 
 
 @pytest.mark.parametrize("num_elements", [8, 16, 58])
