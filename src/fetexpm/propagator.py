@@ -19,15 +19,23 @@ count and then marches every element from ``psi(0) = I``:
 * ``n <= 2``, the dense solve: the (n m) x (n m) matrix is assembled once,
   and each element solves it for all ``n`` columns with one LAPACK call.
   Only the first element calls ``np.linalg.solve``, which raises
-  ``LinAlgError`` on an exactly singular system.  Each later element solves
-  the same systems, which LAPACK has factored without a zero pivot, so it
-  calls the gufunc under that wrapper (``numpy.linalg._umath_linalg.solve``)
-  directly: the same array bit for bit, without the wrapper's type checks
-  and ``errstate``, which take half of each call at n = 2, m = 5 (8.1 us
-  against 3.9 us).
-  ``table1``, which runs on the dense solve alone, took 5.7 ms for unit2,
-  17.6 ms for m1 and 5.1 ms for m2 that way, against 7.1, 24.3 and 6.2 ms
-  through the wrapper (best of 40 interleaved calls, ``BENCH_26.json``).
+  ``LinAlgError`` on an exactly singular system.  Each later element calls
+  the gufunc under that wrapper (``numpy.linalg._umath_linalg.solve``)
+  directly.  It still runs LAPACK's ``zgesv``, which factors the system
+  again, but the same matrix factors with the same pivots, so the first
+  element's check carries over and the solution is the same array bit for
+  bit.  Only the wrapper's type checks and ``errstate`` are skipped, half of
+  each call at n = 2, m = 5 (8.1 us against 3.9 us).
+  At the studies' sizes an element costs more in numpy calls than in
+  arithmetic, so each later one makes five: the product ``a psi`` through
+  ``np.einsum``'s C function, bound without its Python wrapper; the load
+  product, written into a right-hand-side buffer; the solve, written
+  through a view straight into the (column, basis, row) layout that the end
+  values sum over; that sum; and the new ``psi``.
+  ``table1``, which runs on the dense solve alone, takes 5.2 ms for unit2,
+  15.8 ms for m1 and 4.4 ms for m2 that way, against 6.2, 18.5 and 5.5 ms
+  with about ten calls per element (best of 40 interleaved calls,
+  ``BENCH_27.json``).
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
   ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
@@ -133,10 +141,17 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-# the gufunc np.linalg.solve calls; only the dense march's later elements use it.
-# It is numpy-private, so pyproject.toml caps numpy at the newest release the
-# tests have checked it on (numpy 1.24 to 2.4)
+# two numpy privates, each bound in one place, so pyproject.toml caps numpy at
+# the newest release the tests have checked them on (numpy 1.24 to 2.4):
+# the gufunc np.linalg.solve calls, which the dense march's later elements use,
+# and the C function np.einsum calls, which assemble_rhs uses.  numpy 2 moved
+# numpy.core to numpy._core and warns on any access to the old name
 from numpy.linalg import _umath_linalg
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:
+    from numpy.core.multiarray import c_einsum
 
 from .basis import BasisTables, build_tables, real_form
 from .matio import as_complex_matrix
@@ -162,26 +177,36 @@ class ExpmReport:
     num_basis: int
 
 
-def assemble_system(a: np.ndarray, scale: float, tables: BasisTables) -> np.ndarray:
+def assemble_system(a: np.ndarray, scale: float | np.ndarray, tables: BasisTables) -> np.ndarray:
     """The (n*m) x (n*m) block system ``scale kron(deriv, I_n) - kron(overlap, a)``,
-    entry (mu', i), (mu, k) being ``scale deriv[mu', mu] (i == k) - overlap[mu', mu] a[i, k]``."""
+    entry (mu', i), (mu, k) being ``scale deriv[mu', mu] (i == k) - overlap[mu', mu] a[i, k]``.
+
+    A 1-D array of scales gives the (rows, n*m, n*m) stack of their systems,
+    each entry the same product as in the call with that scale alone.
+    """
     n = a.shape[0]
+    scale = np.asarray(scale)
     eye = np.eye(n)
-    system = ((scale * tables.deriv)[:, None, :, None] * eye[None, :, None, :]
+    system = ((scale[..., None, None] * tables.deriv)[..., :, None, :, None] * eye[None, :, None, :]
               - tables.overlap[:, None, :, None] * a[None, :, None, :])
-    return system.reshape(n * tables.m, n * tables.m)
+    return system.reshape(scale.shape + (n * tables.m, n * tables.m))
 
 
-def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
+def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray, out=None) -> np.ndarray:
     """Right-hand sides ``load[mu'] * (a @ psi_prev)[i, j]`` at row (mu', i), column j;
     the product sums in ascending order, so nested loops reproduce it bitwise.
 
     States stacked as (rows, 1, n, n) give one (n*m) x n block per row: their
-    unit axis broadcasts against the basis axis.
+    unit axis broadcasts against the basis axis.  ``out``, a C-contiguous
+    array of the result's shape, receives the same values and is returned.
     """
     n = a.shape[0]
-    product = np.einsum("ik,...kj->...ij", a, psi_prev)
-    return (load[:, None, None] * product).reshape(psi_prev.shape[:-3] + (-1, n))
+    # np.einsum's own call, without its Python wrapper
+    product = c_einsum("ik,...kj->...ij", a, psi_prev)
+    if out is None:
+        return (load[:, None, None] * product).reshape(psi_prev.shape[:-3] + (-1, n))
+    np.multiply(load[:, None, None], product, out=out.reshape(out.shape[:-2] + (-1, n, n)))
+    return out
 
 
 def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
@@ -308,45 +333,51 @@ def _dense_propagate(a: np.ndarray, rows):
     identity, for ``(num_elements, tables)`` rows of one basis count with
     element counts in descending order.
 
-    Rows sit on the leading axis of the systems and of the states, which
-    stack as (rows, 1, n, n) (``assemble_rhs``); with one active row the
-    operands are that row's 2-D views, as for a single count.
+    Rows sit on the leading axis of the systems, of the states, which stack
+    as (rows, 1, n, n) (``assemble_rhs``), and of the buffers that each
+    element writes; with one active row the operands are that row's 2-D
+    views, as for a single count.
     """
     n = a.shape[0]
     tables = rows[0][1]
     element_counts = [count for count, _ in rows]
-    # equal elements of width 1/E map onto [-1, 1] with scale 2E; only a march
-    # of several rows stacks them
-    systems = [assemble_system(a, 2.0 * count, tables) for count in element_counts]
-    psi = np.eye(n, dtype=np.complex128)
-    stacked = len(systems) > 1
-    if stacked:
-        systems = np.stack(systems)
-        psi = np.repeat(psi[None, None], len(systems), axis=0)
+    # equal elements of width 1/E map onto [-1, 1] with scale 2E
+    systems = assemble_system(a, 2.0 * np.array(element_counts, dtype=float), tables)
+    # the identity broadcasts over the rows until the first element
+    psi = np.eye(n, dtype=np.complex128)[None, None]
+    rhs = np.empty((len(rows), tables.m * n, n), dtype=np.complex128)
+    # the coefficients as (column, basis, row): one contiguous (m, n) block per
+    # column, evaluated at +1.  The solve writes them through a view that
+    # orders each row's (basis, row) x column block by columns
+    per_col = np.empty((len(rows), 1, n, tables.m, n), dtype=np.complex128)
+    coeffs = per_col.transpose(0, 1, 3, 4, 2).reshape(rhs.shape)
+
+    def solve_checked(system, b, out):
+        out[...] = np.linalg.solve(system, b)
+
     results = []
     # the first element, where every row is active, solves through np.linalg.solve,
     # which raises LinAlgError on an exactly singular system.  Each later element
-    # solves the same systems again, which LAPACK has factored once without a zero
-    # pivot, so it calls the kernel under that wrapper directly: bitwise the same
-    # solution, without the wrapper's type checks and errstate (half of each call)
-    solve = np.linalg.solve
+    # calls the kernel under that wrapper directly: it factors the same systems
+    # again, with the same pivots and so none of them zero, and returns bitwise the
+    # same solution, without the wrapper's type checks and errstate (half of each call)
+    solve = solve_checked
     factored = functools.partial(_umath_linalg.solve, signature="DD->D")
     for rows, elements in _segments(element_counts):
-        # as (column, basis, row): one contiguous (m, n) block per column, evaluated at +1
         if rows == 1:
-            psi, system, blocks = psi[0, 0] if stacked else psi, systems[0], (tables.m, n, n)
-            to_columns, to_rows = (2, 0, 1), (1, 0)
+            psi, system, rhs, coeffs, per_col = psi[0, 0], systems[0], rhs[0], coeffs[0], per_col[0, 0]
+            to_rows = (1, 0)
         else:
-            psi, system, blocks = psi[:rows], systems[:rows], (rows, 1, tables.m, n, n)
-            to_columns, to_rows = (0, 1, 4, 2, 3), (0, 1, 3, 2)
+            psi, system, rhs, coeffs, per_col = (psi[:rows], systems[:rows], rhs[:rows],
+                                                 coeffs[:rows], per_col[:rows])
+            to_rows = (0, 1, 3, 2)
         for _ in range(elements):
-            coeffs = solve(system, assemble_rhs(a, psi, tables.load))
+            solve(system, assemble_rhs(a, psi, tables.load, out=rhs), out=coeffs)
             solve = factored
             # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
             # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
             # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,
             # which tests pin byte for byte
-            per_col = np.ascontiguousarray(coeffs.reshape(blocks).transpose(to_columns))
             psi = psi + (tables.end_vals @ per_col).transpose(to_rows)
         # the last active row has marched its count; a stretch of no elements
         # leaves it a view of the stack, which the result must not be

@@ -71,6 +71,34 @@ def test_rhs_zero_matrix_gives_zero():
     assert_array_equal(rhs, np.zeros((12, 3)))
 
 
+def test_stacked_systems_match_one_call_per_scale_bitwise():
+    # a dense march assembles the systems of all its rows in one call
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3):
+        for m in (1, 5, 8):
+            tables = build_tables(m)
+            a = random_unit_disk(rng, n)
+            for scales in ([16.0], [116.0, 16.0, 2.0]):
+                stacked = assemble_system(a, np.array(scales), tables)
+                assert stacked.shape == (len(scales), n * m, n * m)
+                for scale, system in zip(scales, stacked):
+                    assert system.tobytes() == assemble_system(a, scale, tables).tobytes()
+
+
+def test_rhs_written_into_a_buffer_matches_the_allocating_call_bitwise():
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3):
+        for m in (1, 5, 8):
+            tables = build_tables(m)
+            a = random_unit_disk(rng, n)
+            for psi in (random_unit_disk(rng, n), np.stack([random_unit_disk(rng, n)[None]
+                                                            for _ in range(3)])):
+                expected = assemble_rhs(a, psi, tables.load)
+                buf = np.full(expected.shape, np.nan, dtype=complex)
+                assert assemble_rhs(a, psi, tables.load, out=buf) is buf
+                assert buf.tobytes() == expected.tobytes()
+
+
 def test_propagation_of_zero_matrix_keeps_state():
     # the zero matrix gives zero right-hand sides, so an element adds nothing
     # to whatever state it starts from
@@ -194,7 +222,8 @@ def test_expm_matches_kronecker_loop_bitwise(monkeypatch):
             monkeypatch.setattr("fetexpm.propagator.PENCIL_MIN_SIZE", n + 1)
         for m in (1, 5, 8, 16):
             a = random_unit_disk(rng, n)
-            for num_elements in (1, 3, 5):
+            # 8 and 58 elements march long single-row stretches
+            for num_elements in (1, 3, 5, 8, 58):
                 report = expm(a, num_elements=num_elements, num_basis=m)
                 assert np.array_equal(report.result, kron_loop_expm(a, num_elements, m))
 
@@ -611,15 +640,37 @@ def test_dense_march_kernel_matches_linalg_solve_bitwise():
                 assert solved.tobytes() == expected.tobytes(), f"N={size} stack={stack} k={columns}"
 
 
+def test_bound_einsum_matches_np_einsum_bitwise():
+    # assemble_rhs calls the C function under np.einsum, a numpy private; it
+    # must return the public call's array bit for bit, on this numpy and on
+    # the oldest one CI installs.  Identity states have exact zeros
+    rng = np.random.default_rng(29)
+    for n in (1, 2):
+        a = random_unit_disk(rng, n)
+        states = [np.eye(n, dtype=complex), random_unit_disk(rng, n)]
+        states += [np.stack([state[None]] * 4) for state in states]
+        states.append(np.stack([random_unit_disk(rng, n)[None] for _ in range(4)]))
+        for psi in states:
+            expected = np.einsum("ik,...kj->...ij", a, psi)
+            product = propagator.c_einsum("ik,...kj->...ij", a, psi)
+            assert product.dtype == expected.dtype and product.shape == expected.shape
+            assert product.tobytes() == expected.tobytes(), f"n={n} shape={psi.shape}"
+
+
 def test_dense_march_calls_linalg_solve_once(monkeypatch):
     # the first element of a dense march goes through np.linalg.solve, which
     # raises on a singular system, and every later one calls its kernel: one
-    # public call per march, whatever its element count
-    calls, marches = [], []
+    # public call per march, whatever its element count.  A march also
+    # assembles the systems of all its rows in one call
+    calls, marches, assembled = [], [], []
 
     def counting(*args, _real=np.linalg.solve, **kwargs):
         calls.append(1)
         return _real(*args, **kwargs)
+
+    def counting_assembly(*args):
+        assembled.append(1)
+        return assemble_system(*args)
 
     def counting_march(*args, _real=_dense_propagate):
         marches.append(1)
@@ -627,17 +678,20 @@ def test_dense_march_calls_linalg_solve_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     monkeypatch.setattr("fetexpm.propagator._dense_propagate", counting_march)
+    monkeypatch.setattr("fetexpm.propagator.assemble_system", counting_assembly)
     for num_elements in (1, 8, 58):
         calls.clear()
+        assembled.clear()
         expm(m1(), num_elements)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(assembled) == 1
     # one march over element counts, then one march per basis count
     for rows, num_marches in (([(count, 8) for count in range(5, 41)], 1),
                               ([(3, 5), (8, 5), (1, 7), (8, 7), (2, 9)], 3)):
         calls.clear()
         marches.clear()
+        assembled.clear()
         expm_each(m1(), rows)
-        assert len(marches) == num_marches and len(calls) == num_marches
+        assert len(marches) == len(calls) == len(assembled) == num_marches
 
 
 @pytest.mark.parametrize("num_elements", [8, 16, 58])
