@@ -21,21 +21,16 @@ count and then marches every element from ``psi(0) = I``:
   Only the first element calls ``np.linalg.solve``, which raises
   ``LinAlgError`` on an exactly singular system.  Each later element calls
   the gufunc under that wrapper (``numpy.linalg._umath_linalg.solve``)
-  directly.  It still runs LAPACK's ``zgesv``, which factors the system
-  again, but the same matrix factors with the same pivots, so the first
-  element's check carries over and the solution is the same array bit for
-  bit.  Only the wrapper's type checks and ``errstate`` are skipped, half of
-  each call at n = 2, m = 5 (8.1 us against 3.9 us).
-  At the studies' sizes an element costs more in numpy calls than in
-  arithmetic, so each later one makes five: the product ``a psi`` through
-  ``np.einsum``'s C function, bound without its Python wrapper; the load
-  product, written into a right-hand-side buffer; the solve, written
-  through a view straight into the (column, basis, row) layout that the end
-  values sum over; that sum; and the new ``psi``.
-  ``table1``, which runs on the dense solve alone, takes 5.2 ms for unit2,
-  15.8 ms for m1 and 4.4 ms for m2 that way, against 6.2, 18.5 and 5.5 ms
-  with about ten calls per element (best of 40 interleaved calls,
-  ``BENCH_27.json``).
+  directly, without its type checks and ``errstate``.  It still runs
+  LAPACK's ``zgesv``, which factors the system again, but the same matrix
+  factors with the same pivots, so the first element's check carries over
+  and the solution is the same array bit for bit.  At these sizes an element
+  costs more in numpy calls than in arithmetic, so each later one makes
+  five: the product ``a psi`` through ``np.einsum``'s C function, bound
+  without its Python wrapper; the load product, written into a
+  right-hand-side buffer; the solve, written through a view straight into
+  the (column, basis, row) layout that the end values sum over; that sum;
+  and the new ``psi``.
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
   ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
@@ -44,91 +39,54 @@ count and then marches every element from ``psi(0) = I``:
   where ``u_k`` combines ``psi_prev`` and the ``Y[j]`` already solved, and its
   end value is one more such combination.  All these combinations are rows of
   one coupling matrix ``[[r, load'], [end', 1]]`` (``BasisTables.pencil``).
-  The shifted blocks are inverted once per call, so an element costs
+  The shifted blocks are inverted once per march, so an element costs
   O(m n^3), not O((n m)^3).
 
-The switch sits at n = 3, and not for speed alone: the dense solve is faster
-at n = 1 and at n = 2 with one element, the pencil solve about 1.1x faster at
-n = 2 with 8 and 1.2x slower at n = 3, m = 8 with one (ROADMAP and
-``BENCH_20.json``).  The two agree to rounding, but at n = 2 the pencil solve
+The switch sits at n = 3, and not for speed alone (ROADMAP has the
+timings).  The two solves agree to rounding, but at n = 2 the pencil solve
 moves the E = 5 row of ``table1 m1`` from 10 basis functions to 9, as its
-m = 9 error, 1.07e-14, sits on the 1e-14 tolerance.  The tests and the
-benchmark's gate pin that row, so n <= 2, which holds every ``table1``
-matrix, keeps the dense solve.  The row moves with any change to the dense
-solve's rounding: to 9 through the pencil solve, to 11 when the end values
-are one flat sum over all columns instead of one sum per column.
+m = 9 error sits on the 1e-14 tolerance.  The tests and the benchmark's gate
+pin that row, so n <= 2, which holds every ``table1`` matrix, keeps the dense
+solve.  The row moves with any change to the dense solve's rounding: to 9
+through the pencil solve, to 11 when the end values are one flat sum over all
+columns instead of one sum per column.
 
-Below n = 40 (``COMPLEX_MIN_SIZE``) the pencil solve multiplies real forms.
-There a complex product costs more in call overhead than in arithmetic, and
-one real BLAS call on the same product's real form costs a third to a half
-as much.  The complex ``Z = X + iY`` becomes ``[[X, -Y], [Y, X]]``
-(``basis.real_form``), each block ``Y[k]`` the stacked ``[Re Y[k]; Im Y[k]]``
-and each coupling entry a 2 x 2 real block (``BasisTables.pencil_real``).
-That is the conventional complex product as four real ones, so it keeps its
-error bound, which the three-multiplication form does not (Higham, SIMAX
-1992).  The shifted blocks are still inverted as complex matrices and only
-then embedded.  From n = 40 the embedding's set-up copies and the larger
-real products cost more than they save, and at n = 64 complex ``zgemm`` beats
-every real variant, so the same loop runs on complex operands.
+Below n = 40 (``COMPLEX_MIN_SIZE``) the pencil solve multiplies real forms:
+there a complex product costs more in call overhead than in arithmetic, and
+one real BLAS call on its real form costs less.  The complex ``Z = X + iY``
+becomes ``[[X, -Y], [Y, X]]`` (``basis.real_form``), each block ``Y[k]`` the
+stacked ``[Re Y[k]; Im Y[k]]`` and each coupling entry a 2 x 2 real block
+(``BasisTables.pencil_real``).  That is the conventional complex product as
+four real ones, so it keeps its error bound, which the three-multiplication
+form does not (Higham, SIMAX 1992).  The shifted blocks are still inverted as
+complex matrices and only then embedded.  From n = 40 the embedding's set-up
+copies and larger real products cost more than they save, so the same loop
+runs on complex operands.
 
-Several ``(E, m)`` rows of one matrix, as the studies' sweeps and
-minimum-basis searches need (``expm_each``), share ``a``, so one march
-advances them together.  Their rows sit on a new outermost axis of the
-states, of the dense systems and of the pencil's inverses, and each step is
-one call for all active rows: one ``einsum``, LAPACK solve and end-value
-product over that axis in the dense solve, and one ``np.matmul``
-for each couple, ``a u_k`` and inverse product in the pencil solve on real
-forms.  Rows of one basis count differ only in the element width.  They go
-longest first, and a row retires once it has marched its own count, so the
-active rows are always a prefix and the march runs max(E) elements, not
-their sum.
-
-From n = 3, rows of one element count and several basis counts share a
-march too.  Each row's basis steps are right-aligned to the chunk's largest
-count M: row r's step k sits at position ``M - m_r + k`` of an (M + 1)-block
-state whose last block holds ``psi``.  Going down from position M - 1, all
-rows start their back-substitution together and a row with fewer basis
-functions stops early, so with the rows in descending basis count the
-active rows at each position are a prefix.  At position j each of them
-couples the same tail of its state, blocks j + 1 to M, so the couple,
-``a u_k`` and inverse product are again one ``np.matmul`` each.  They act on
-views of a stack of the rows' coupling matrices, right-aligned in the same
-way, and of the inverses, which are stacked position by position so that
-each position's active rows are contiguous.  A march takes any rows whose
-basis and element counts both descend; ``expm_each`` orders its rows by
-basis count, then element count, and starts a new march where the element
-count would grow.  Two things stay per basis count, because padding changes
-bits (ROADMAP, measured dead ends):
-
-* the end combine, one call per run of rows of one basis count, and so one
-  bound ``ndarray.dot`` per row in a sweep over basis counts: the end rows
-  differ in length, and padding them with zeros changed the rounding at
-  m = 2..6 on random states at n = 3 and 5;
-* the dense solve, one march per basis count: its (n m) x (n m) systems
-  differ in size, and padding them with the identity changed LAPACK's
-  solution in 1396 of 1600 random cases (n = 1, 2, m = 1..20).
+``expm_each`` marches several ``(E, m)`` rows of one matrix together, and
+its docstring gives the one rule for which rows share a march.  A march's
+rows sit on a new outermost axis of the states, of the dense systems and of
+the pencil's inverses, and each step is one call for all active rows.  They
+go longest first, and a row retires once it has marched its own count, so
+the active rows are always a prefix and the march runs max(E) elements, not
+their sum.  In the pencil solve rows of several basis counts right-align
+their basis steps to the march's largest count M: row r's step k sits at
+position ``M - m_r + k`` of an (M + 1)-block state whose last block holds
+``psi``.  With the rows in descending basis count the active rows at each
+position are a prefix too, and each couples the same tail of its state, so
+the couple, ``a u_k`` and inverse product are again one ``np.matmul`` each.
+Two things stay per basis count, because padding changes bits (ROADMAP,
+measured dead ends): the pencil's end combine, one call per run of rows of
+one basis count, and the dense solve, one march per basis count.
 
 Every row stays bitwise equal to one ``expm`` call: each stacked call runs
-the same LAPACK or BLAS kernel per row.
-
-A position with one active row, which is all of ``expm``'s single row,
-binds that row's 2-D operands and bound ``ndarray.dot`` calls, and only
-several rows get stacked operands: they cost a single row 1.1-1.2x in
-``np.matmul`` dispatch.  So each solve keeps one march, and only the
-binding differs.  The pencil solve marches its rows in chunks whose working
-set, state buffer and embedded inverses right-aligned to the chunk's
-largest count, stays within ``CHUNK_BYTES``; a chunk that outgrows the 2 MiB
-L2 cache of the machine it was measured on runs slower than one row at a
-time (``BENCH_23.json``).
-
-Only real forms stack: from ``COMPLEX_MIN_SIZE`` every chunk holds one row,
-so a march on complex operands advances its rows one after another.
-Stacking them gained little: one row at a time took 1.01-1.08x the stacked
-time over sweeps of either count at n = 40, 48 and 56, the most on sweeps
-over elements at m <= 2 (``BENCH_25.json``), and no benchmark workload runs
-them.  And ``np.matmul`` rounds the (1 x 1)(1 x n^2) complex product of the
-first back-substitution step differently from ``ndarray.dot``, so stacked
-complex rows need a binding of their own.
+the same LAPACK or BLAS kernel per row.  A position with one active row,
+which is all of ``expm``'s single row, binds that row's 2-D operands and
+bound ``ndarray.dot`` calls, because stacked operands cost a single row more
+in ``np.matmul`` dispatch.  Complex rows march one at a time: ``np.matmul``
+rounds the (1 x 1)(1 x n^2) complex product of the first back-substitution
+step differently from ``ndarray.dot``, so stacked complex rows would need a
+binding of their own.
 
 Only ``expm`` and ``expm_each`` check input and decide overflow, by one
 rule for both solves (``expm``'s Raises section); the functions here trust
@@ -160,12 +118,13 @@ from .matio import as_complex_matrix
 PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
-# largest working set, state and embedded inverses, of one chunk of real-form rows
-# that the pencil solve marches together (see the module docstring).  Measured
-# over a sweep of E = 5..40 at m = 8 (BENCH_23.json): 1 MiB holds 10 rows at
-# n = 16 and 4 at n = 24, where it beat 256 KiB, 4 MiB and no chunks, and 2 at
-# n = 32, where it ran 0.83x and no chunks 0.67x one row at a time
-CHUNK_BYTES = 1 << 20
+# largest working set, state and embedded inverses, of one march of real-form rows
+# (expm_each); a march that outgrows the 2 MiB L2 cache of the machine it was
+# measured on runs slower than one row at a time.  Measured over a sweep of
+# E = 5..40 at m = 8 (BENCH_23.json): 1 MiB holds 10 rows at n = 16 and 4 at
+# n = 24, where it beat 256 KiB, 4 MiB and no limit, and 2 at n = 32, where it
+# ran 0.83x and no limit 0.67x one row at a time
+MARCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,28 +219,42 @@ def expm_each(a, rows) -> list:
 
     Returns one fresh n x n result per row, in the order given, each bitwise
     equal to ``expm(a, num_elements, num_basis).result``; the rows need not be
-    sorted or distinct.  Rows that share a basis count advance through one
-    march, and from n = 3 so do rows that share an element count (module
-    docstring): a sweep over either count, and each basis count of a
-    minimum-basis search, is one march wherever it can be.  Checks its input
-    and raises exactly as ``expm`` does, before any solve for bad input; an
-    overflow in any row raises ``OverflowError("solution ...")``.
+    sorted or distinct.  Checks its input and raises exactly as ``expm`` does,
+    before any solve for bad input; an overflow in any row raises
+    ``OverflowError("solution ...")``.
+
+    This is the one place that decides which rows march together (module
+    docstring).  The rows go in descending basis count, then element count,
+    and each joins the march before it if
+
+    * for n <= 2, it has that march's basis count;
+    * from n = 3, its element count is at most that of the march's last row,
+      n < ``COMPLEX_MIN_SIZE``, and the march stays within ``MARCH_BYTES``
+      at ``8 (2 (M + 1) n^2 + M (2 n)^2)`` bytes per row, its state and
+      embedded inverses right-aligned to the march's first, largest, basis
+      count M;
+
+    and otherwise starts a new march.  So a sweep over either count, and
+    each basis count of a minimum-basis search, is one march wherever it fits.
     """
     a = as_complex_matrix(a)
     rows = [_checked_row(*row) for row in rows]
+    n = a.shape[0]
     # largest basis count first, then most elements: a march over such rows
     # keeps its active rows a prefix at every basis step and every element
     order = sorted(range(len(rows)), key=lambda row: (rows[row][1].m, rows[row][0]), reverse=True)
-    pencil = a.shape[0] >= PENCIL_MIN_SIZE
     marches = []
     for row in order:
         num_elements, tables = rows[row]
-        last = rows[marches[-1][-1]] if marches else None
-        # the dense solve marches one basis count, the pencil solve also
-        # fewer basis functions as long as the elements do not grow
-        if last and (num_elements <= last[0] if pencil else tables.m == last[1].m):
+        if marches and (tables.m == m if n < PENCIL_MIN_SIZE else
+                        (num_elements <= rows[marches[-1][-1]][0] and len(marches[-1]) < capacity)):
             marches[-1].append(row)
         else:
+            # a new march, whose first row has its largest basis count m: real-form
+            # rows fill it up to MARCH_BYTES, and complex rows march alone
+            m = tables.m
+            row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
+            capacity = MARCH_BYTES // row_bytes if n < COMPLEX_MIN_SIZE else 1
             marches.append([row])
     results = [None] * len(rows)
     for march in marches:
@@ -393,43 +366,21 @@ def _pencil_propagate(a: np.ndarray, rows):
 
     Per row, a work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row
     ``k < m`` forms ``u_k`` from it and row ``m`` the end state, which
-    replaces ``psi``.  Set-up picks the operands by n alone, and the loop is
-    the same for both.  Below ``COMPLEX_MIN_SIZE`` the buffer holds each
-    block as the stacked real ``[Re Y[k]; Im Y[k]]`` in ``p = 2`` of its
-    rows, and ``a``, the inverses and the coupling are bound in real form,
-    so that each product is one real BLAS call (the module docstring says
-    why).  Such rows sit on the leading axis of the buffers and inverses,
-    their basis steps right-aligned to the chunk's largest count, and march
-    in chunks of at most ``CHUNK_BYTES`` of working set.  From
-    ``COMPLEX_MIN_SIZE`` every operand is complex, each block takes ``p = 1``
-    row, and each row is a chunk of its own.
+    replaces ``psi``.  Row r's basis step k sits at position ``m - m_r + k``
+    of its buffers and inverses, and its state at ``m``, where ``m`` is the
+    first row's, largest, count.  Set-up picks the operands by n alone, and
+    the loop is the same for both.  Below ``COMPLEX_MIN_SIZE`` the buffer
+    holds each block as the stacked real ``[Re Y[k]; Im Y[k]]`` in ``p = 2``
+    of its rows, and ``a``, the inverses and the coupling are bound in real
+    form, so that each product is one real BLAS call (the module docstring
+    says why).  From ``COMPLEX_MIN_SIZE`` every operand is complex and each
+    block takes ``p = 1`` row; such a march holds one row.  The buffers are
+    freed when it returns, before the next march allocates its own: one row
+    at a time then reuses the same memory, as one ``expm`` call after another
+    does.
     """
     n = a.shape[0]
     p, a_form = (2, real_form(a)) if n < COMPLEX_MIN_SIZE else (1, a)
-    results = []
-    start = 0
-    while start < len(rows):
-        # a row's state and embedded inverses, right-aligned to the chunk's
-        # largest basis count, which its first row has; complex rows march alone
-        m = rows[start][1].m
-        row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
-        stop = start + (max(1, CHUNK_BYTES // row_bytes) if p == 2 else 1)
-        results += _pencil_chunk(a, a_form, p, rows[start:stop])
-        start = stop
-    return results
-
-
-def _pencil_chunk(a, a_form, p, rows):
-    """The march of one chunk of rows, as ``_pencil_propagate`` sets it up.
-
-    Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
-    inverses, and its state at ``m``, where ``m`` is the chunk's largest
-    count.  Several rows come only in real form (``p = 2``).  Its buffers
-    are freed when it returns, before the next chunk allocates its own: one
-    row at a time then reuses the same memory, as one ``expm`` call after
-    another does.
-    """
-    n = a.shape[0]
     m = rows[0][1].m
     # the first row's step rows in its own form; any other row is in real form
     first_steps = rows[0][1].pencil_real_steps if p == 2 else rows[0][1].pencil_steps
@@ -462,7 +413,7 @@ def _pencil_chunk(a, a_form, p, rows):
         shifted = np.concatenate([tables.pencil_shifts for _, tables in rows])[order] * a
         scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
     shifted.reshape(-1, n * n)[:, :: n + 1] += scales
-    # the shifted blocks stay allocated until the chunk returns: freed here,
+    # the shifted blocks stay allocated until the march returns: freed here,
     # before the embedding, they let glibc trim the heap after every call,
     # and expm_large's n = 32, m = 16 op took 224 page faults and 8% longer
     inverse = np.linalg.inv(shifted)

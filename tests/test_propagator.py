@@ -17,7 +17,6 @@ from fetexpm.propagator import (
     COMPLEX_MIN_SIZE,
     PENCIL_MIN_SIZE,
     _dense_propagate,
-    _pencil_chunk,
     _pencil_propagate,
     assemble_rhs,
     assemble_system,
@@ -657,12 +656,26 @@ def test_bound_einsum_matches_np_einsum_bitwise():
             assert product.tobytes() == expected.tobytes(), f"n={n} shape={psi.shape}"
 
 
+def record_marches(monkeypatch, solve=True):
+    """The list of march sizes, which fills as ``expm_each`` hands each march
+    to its solve; with ``solve=False`` a march skips the solve and returns
+    identities."""
+    sizes = []
+    for name in ("_dense_propagate", "_pencil_propagate"):
+        def recording(a, rows, _real=getattr(propagator, name)):
+            sizes.append(len(rows))
+            return _real(a, rows) if solve else [np.eye(a.shape[0], dtype=complex) for _ in rows]
+
+        monkeypatch.setattr(propagator, name, recording)
+    return sizes
+
+
 def test_dense_march_calls_linalg_solve_once(monkeypatch):
     # the first element of a dense march goes through np.linalg.solve, which
     # raises on a singular system, and every later one calls its kernel: one
     # public call per march, whatever its element count.  A march also
     # assembles the systems of all its rows in one call
-    calls, marches, assembled = [], [], []
+    calls, assembled = [], []
 
     def counting(*args, _real=np.linalg.solve, **kwargs):
         calls.append(1)
@@ -672,13 +685,9 @@ def test_dense_march_calls_linalg_solve_once(monkeypatch):
         assembled.append(1)
         return assemble_system(*args)
 
-    def counting_march(*args, _real=_dense_propagate):
-        marches.append(1)
-        return _real(*args)
-
     monkeypatch.setattr(np.linalg, "solve", counting)
-    monkeypatch.setattr("fetexpm.propagator._dense_propagate", counting_march)
     monkeypatch.setattr("fetexpm.propagator.assemble_system", counting_assembly)
+    marches = record_marches(monkeypatch)
     for num_elements in (1, 8, 58):
         calls.clear()
         assembled.clear()
@@ -733,7 +742,7 @@ def one_expm(n, num_elements, num_basis):
 
 
 def three_rows(n, m):
-    """A chunk budget of about three rows of basis count m at size n."""
+    """A ``MARCH_BYTES`` of three rows of basis count m at size n."""
     return 3 * 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
 
 
@@ -758,14 +767,14 @@ def test_stacked_march_matches_one_expm_per_count_bitwise(monkeypatch, n):
     # solve (n <= 2), on real forms (3 <= n < 40) and on complex operands
     # (n >= 40), whose rows march one at a time whatever the budget; each
     # count list is marched whole and, with a budget of three real-form rows,
-    # in chunks of three or four (at n >= 16 and m = 16 the default budget
-    # already holds at most a few rows).  From n = 33 the one-count references for
+    # in marches of three (at n >= 16 and m = 16 the default budget already
+    # holds at most a few rows).  From n = 33 the one-count references for
     # m = 8 and 16 stop at 12 elements, which keeps the test within seconds
     for m in (1, 2, 5, 8, 16):
         top = 40 if n <= 16 or m <= 5 else 12
         for budget in (None, three_rows(n, m)):
             if budget is not None:
-                monkeypatch.setattr("fetexpm.propagator.CHUNK_BYTES", budget)
+                monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", budget)
             for counts in march_count_lists(top):
                 assert_march_matches_one_expm_per_row(n, [(count, m) for count in counts])
             monkeypatch.undo()
@@ -782,13 +791,14 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
     # rows of one element count and several basis counts: from n = 3 one march
     # right-aligns their basis steps, and the dense solve marches each count on
     # its own; either way every row equals its own expm call to the bit.  Each
-    # list is marched whole and, with a budget of about three rows, in chunks.
+    # list is marched whole and, with a budget of three rows of the largest
+    # count, in several marches.
     # From n = 39 the lists stop at 16 basis functions, which keeps the test
     # within seconds
     top = 40 if n <= 16 else 16
     for budget in (None, three_rows(n, top)):
         if budget is not None:
-            monkeypatch.setattr("fetexpm.propagator.CHUNK_BYTES", budget)
+            monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", budget)
         for num_elements in (1, 3, 8):
             for counts in basis_count_lists(top):
                 assert_march_matches_one_expm_per_row(n, [(num_elements, m) for m in counts])
@@ -801,22 +811,44 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
 def test_only_real_form_rows_share_a_chunk(monkeypatch, n):
-    # below the operand switch the default budget stacks several rows of a
-    # sweep in one chunk; from it every row of a sweep over either count
-    # marches alone
-    chunk_sizes = []
-
-    def spying(a, a_form, p, rows):
-        chunk_sizes.append(len(rows))
-        return _pencil_chunk(a, a_form, p, rows)
-
-    monkeypatch.setattr("fetexpm.propagator._pencil_chunk", spying)
+    # below the operand switch the default budget puts several rows of a
+    # sweep in one march; from it every row of a sweep over either count
+    # marches alone.  The name keeps the word of the old layer, whose chunks
+    # are now expm_each's marches
+    sizes = record_marches(monkeypatch)
     expm_each(march_matrix(n), [(count, 2) for count in range(5, 41)])
     expm_each(march_matrix(n), [(8, m) for m in range(1, 13)])
     if n < COMPLEX_MIN_SIZE:
-        assert max(chunk_sizes) > 1
+        assert max(sizes) > 1
     else:
-        assert chunk_sizes == [1] * (36 + 12)
+        assert sizes == [1] * (36 + 12)
+
+
+def test_expm_each_forms_the_pinned_marches(monkeypatch):
+    # expm_each alone decides which rows march together: the dense solve
+    # (n <= 2) marches one basis count; from n = 3 rows march together while
+    # their element counts do not grow and the real-form working set fits in
+    # MARCH_BYTES (10 rows of m = 8 at n = 16, 4 at n = 24, none beside a
+    # first row of m = 16 at n = 32), and from n = 40 every row marches alone
+    sizes = record_marches(monkeypatch, solve=False)
+    elements = [(count, 8) for count in range(5, 41)]
+    basis = [(8, m) for m in range(1, 41)]
+    mixed = [(3, 8), (8, 5), (1, 16), (3, 5), (8, 8), (5, 2), (3, 8), (1, 1), (8, 12), (5, 16)]
+    for n, rows, expected in (
+            (2, elements, [36]),
+            (2, basis, [1] * 40),
+            (5, elements, [36]),
+            (3, [(8, m) for m in range(5, 41)], [36]),
+            (16, elements, [10, 10, 10, 6]),
+            (16, basis, [2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 5, 8, 2]),
+            (24, elements, [4] * 9),
+            (32, [(count, 16) for count in range(5, 41)], [1] * 36),
+            (39, [(count, 2) for count in range(5, 41)], [6] * 6),
+            (40, [(count, 2) for count in range(5, 41)], [1] * 36),
+            (5, mixed, [2, 4, 2, 2])):
+        sizes.clear()
+        assert len(expm_each(np.eye(n), rows)) == len(rows)
+        assert sizes == expected, f"n={n} rows={rows}"
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
@@ -836,7 +868,7 @@ def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
     assert expm_each(np.eye(3), []) == []
 
 
-def test_stacked_march_reports_an_overflowing_row():
+def test_stacked_march_reports_an_overflowing_row(monkeypatch):
     # one element of 800 I stays finite; 128 of them overflow, and so does the
     # march that carries both rows, without a warning, in either solve: over
     # element counts, over basis counts and over both
@@ -849,9 +881,23 @@ def test_stacked_march_reports_an_overflowing_row():
                          [(128, 5), (128, 8), (128, 2)], [(1, 5), (1, 8), (128, 6), (1, 2)]):
                 with pytest.raises(OverflowError, match="solution"):
                     expm_each(a, rows)
+    # a later march checks its own rows: with a budget of three rows, the
+    # overflowing row marches second.  30 elements of (40 + 4e-12) I put the
+    # element width just off a pole of the m = 1 element map, and the m = 2
+    # and 3 rows stay finite
+    a = (40.0 + 4e-12) * np.eye(16)
+    rows = [(30, 2), (30, 3), (30, 2), (30, 1)]
+    assert all(np.isfinite(result).all() for result in expm_each(a, rows[:3]))
+    monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", three_rows(16, 3))
+    sizes = record_marches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="solution"):
+            expm_each(a, rows)
+    assert sizes == [3, 1]
 
 
-def test_stacked_march_raises_on_a_singular_row():
+def test_stacked_march_raises_on_a_singular_row(monkeypatch):
     # E = 3, m = 1 makes the block system of [[4.0]] (and the shifted block
     # of 4 I) exactly singular; a march that carries that row raises, over
     # element counts or basis counts alike
@@ -864,3 +910,10 @@ def test_stacked_march_raises_on_a_singular_row():
                 expm_each(a, rows)
         assert len(expm_each(a, [(1, 1), (2, 1), (4, 1)])) == 3
         assert len(expm_each(a, [(3, 5), (3, 2), (3, 8)])) == 3
+    # so does a later march: with a budget of three rows, the singular row
+    # marches second, after three that are not
+    monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", three_rows(3, 8))
+    sizes = record_marches(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError):
+        expm_each(4.0 * np.eye(3), [(3, 5), (3, 1), (3, 8), (3, 2)])
+    assert sizes == [3, 1]
