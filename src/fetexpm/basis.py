@@ -57,16 +57,17 @@ def _integrated_coeffs(m: int) -> np.ndarray:
     return coeffs
 
 
-def real_form(z: np.ndarray) -> np.ndarray:
+def real_form(z: np.ndarray, out=None) -> np.ndarray:
     """The real matrix ``[[X, -Y], [Y, X]]`` of ``z = X + iY``, over its last two axes.
 
     Its product with the stacked real ``[Re v; Im v]`` is the stacked
     ``[Re z v; Im z v]``: the conventional complex product written as four
-    real ones, which keeps its error bound.
+    real ones, which keeps its error bound.  ``out``, a float64 array of the
+    result's shape, receives every entry and is returned.
     """
     x, y = z.real, z.imag
     rows, cols = z.shape[-2:]
-    real = np.empty(z.shape[:-2] + (2 * rows, 2 * cols))
+    real = np.empty(z.shape[:-2] + (2 * rows, 2 * cols)) if out is None else out
     real[..., :rows, :cols] = real[..., rows:, cols:] = x
     real[..., rows:, :cols] = y
     np.negative(y, out=real[..., :rows, cols:])

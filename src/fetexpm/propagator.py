@@ -63,6 +63,26 @@ complex matrices and only then embedded.  From n = 40 the embedding's set-up
 copies and larger real products cost more than they save, so the same loop
 runs on complex operands.
 
+A pencil march's large arrays are views of one flat byte buffer that is kept
+between calls: the shifted blocks, the state with its u and right-hand-side
+buffers and, below ``COMPLEX_MIN_SIZE``, the real forms of ``a`` and of the
+inverses (``np.linalg.inv``'s own output stays numpy's).  Freed instead,
+they went back to the kernel whenever glibc trimmed the heap, and the next
+large call faulted them in again: at E = 8, (n, m) = (32, 8), (64, 8) and
+(32, 16) took 100-133, 300-316 and 285-294 minor page faults per call, up to
+a fifth of its time in the kernel, and with the kept buffer they take none
+(``BENCH_31.json``).  Three rules make the buffer safe to share:
+
+* A march takes a buffer with ``list.pop`` and gives it back with
+  ``list.append`` however it ends, each atomic, so no two marches ever hold
+  one buffer and ``expm`` stays reentrant and thread-safe.  The list never
+  holds more buffers than marches ran at once.
+* A buffer larger than ``SPARE_BYTES`` is not kept, so one huge call pins no
+  memory once it returns.
+* It is only memory: each march writes every array before reading it, the
+  whole state included, and returns fresh arrays, so no result depends on
+  what the buffer held.
+
 ``expm_each`` marches several ``(E, m)`` rows of one matrix together, and
 its docstring gives the one rule for which rows share a march.  A march's
 rows sit on a new outermost axis of the states, of the dense systems and of
@@ -125,6 +145,16 @@ COMPLEX_MIN_SIZE = 40
 # n = 24, where it beat 256 KiB, 4 MiB and no limit, and 2 at n = 32, where it
 # ran 0.83x and no limit 0.67x one row at a time
 MARCH_BYTES = 1 << 20
+# largest buffer of a pencil march that is kept for the next march (module
+# docstring).  Faults cost a call less as n grows, its arithmetic growing as n^3
+# and the faulted bytes as n^2: at E = 8 they took 5-9% of a call at n = 64 and
+# 96 and 2-3% from n = 128 (m = 8 and 16, BENCH_31.json cap).  8 MiB keeps every
+# march up to n = 96 at m = 16 and n = 128 at m = 8; expm_large's largest
+# needs 1.2 MiB
+SPARE_BYTES = 8 << 20
+
+# the kept buffers, each free for one march at a time (_take_buffer)
+_spare_buffers = []
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +389,17 @@ def _dense_propagate(a: np.ndarray, rows):
     return results[::-1]
 
 
+def _take_buffer(nbytes: int) -> np.ndarray:
+    """A flat byte buffer of at least ``nbytes``: a kept one if one is free and
+    large enough, else a new one.  ``list.pop`` is atomic, so no two marches
+    ever hold the same buffer."""
+    try:
+        buffer = _spare_buffers.pop()
+    except IndexError:
+        return np.empty(nbytes, dtype=np.uint8)
+    return buffer if buffer.nbytes >= nbytes else np.empty(nbytes, dtype=np.uint8)
+
+
 def _pencil_propagate(a: np.ndarray, rows):
     """The pencil solve: ``psi`` after each row's count of elements from the
     identity, for ``(num_elements, tables)`` rows whose basis and element
@@ -374,26 +415,23 @@ def _pencil_propagate(a: np.ndarray, rows):
     of its rows, and ``a``, the inverses and the coupling are bound in real
     form, so that each product is one real BLAS call (the module docstring
     says why).  From ``COMPLEX_MIN_SIZE`` every operand is complex and each
-    block takes ``p = 1`` row; such a march holds one row.  The buffers are
-    freed when it returns, before the next march allocates its own: one row
-    at a time then reuses the same memory, as one ``expm`` call after another
-    does.
+    block takes ``p = 1`` row; such a march holds one row.  The large arrays
+    are views of one kept byte buffer (module docstring), which the march
+    gives back however it ends; every result is a fresh array.
     """
     n = a.shape[0]
-    p, a_form = (2, real_form(a)) if n < COMPLEX_MIN_SIZE else (1, a)
+    p, dtype = (2, np.float64) if n < COMPLEX_MIN_SIZE else (1, np.complex128)
     m = rows[0][1].m
     # the first row's step rows in its own form; any other row is in real form
     first_steps = rows[0][1].pencil_real_steps if p == 2 else rows[0][1].pencil_steps
     # runs: consecutive rows of one basis count, as [start, stop, tables];
     # active[k]: how many rows reach back to position k, always the first ones;
-    # shifted: the diagonal blocks of the triangularised system, one per basis
-    # step and row, inverted as complex matrices and stacked flat position by
-    # position, so that the rows active at position k are the blocks from
-    # offsets[k] (numpy's inv takes about a tenth longer with a leading axis more)
+    # offsets[k]: where the blocks of position k start in the stack of shifted
+    # blocks and inverses, position by position, so that the rows active at
+    # position k are the blocks from offsets[k] (numpy's inv takes about a
+    # tenth longer with a leading axis more)
     if len(rows) == 1:
         runs, active, offsets = [[0, 1, rows[0][1]]], [1] * m, range(m + 1)
-        shifted = rows[0][1].pencil_shifts * a
-        scales = 2.0 * rows[0][0]
     else:
         runs = [[0, 1, rows[0][1]]]
         for row in range(1, len(rows)):
@@ -405,107 +443,133 @@ def _pencil_propagate(a: np.ndarray, rows):
         for _, stop, tables in runs:
             active[m - tables.m:] = [stop] * tables.m
         offsets = list(itertools.accumulate(active, initial=0))
-        basis_counts = np.array([tables.m for _, tables in rows])
-        # step[r, k]: row r's basis step at position k, negative before it starts
-        step = np.arange(m) - (m - basis_counts)[:, None]
-        # the rows' steps in the order of the stack: position-major, row-minor
-        order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
-        shifted = np.concatenate([tables.pencil_shifts for _, tables in rows])[order] * a
-        scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
-    shifted.reshape(-1, n * n)[:, :: n + 1] += scales
-    # the shifted blocks stay allocated until the march returns: freed here,
-    # before the embedding, they let glibc trim the heap after every call,
-    # and expm_large's n = 32, m = 16 op took 224 page faults and 8% longer
-    inverse = np.linalg.inv(shifted)
-    if p == 2:
-        inverse = real_form(inverse)
-    if len(runs) > 1:
-        # rows of several basis counts right-align their coupling matrices;
-        # each row reads only its own block
-        size = p * (m + 1)
-        coupling = np.empty((len(rows), size, size), dtype=inverse.dtype)
-        for first, stop, tables in runs:
-            own = tables.pencil_real
-            coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
-    elif len(rows) > 1:
-        # rows of one basis count share their coupling rows, which broadcast
-        # over however many rows are active
-        couples = [functools.partial(np.matmul, step_rows) for step_rows in first_steps[:m]]
-    state = np.zeros((len(rows), p * (m + 1), n * n), dtype=inverse.dtype)
-    blocks = state.reshape(len(rows), m + 1, p * n, n)
-    # psi = I: ones on the diagonal of the flattened (real part of the) state
-    state[:, p * m, :: n + 1] = 1.0
-    u_rows = np.empty((len(rows), p, n * n), dtype=inverse.dtype)
-    u_blocks = u_rows.reshape(len(rows), p * n, n)
-    rhs = np.empty((len(rows), p * n, n), dtype=inverse.dtype)
-    times_a = functools.partial(np.matmul, a_form)
-
-    def bind(num_active):
-        """The calls of one element over the first ``num_active`` rows.
-
-        Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
-        u_k, rhs, solve, y_k)`` step: each product over the rows active there.
-        Then the end combines as ``(combine, tail, out)``, and the end state
-        with the rows it is copied from.
-        """
-        steps = []
-        # the first row's 2-D operands, which a position with one active row binds,
-        # and the stacked operands of the first rows_k rows, sliced once per count
-        first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], rhs[0], blocks[0]
-        first_u_blocks = u_blocks[0]
-        stacked = {}
-        for k in range(m - 1, -1, -1):
-            rows_k = min(num_active, active[k])
-            if rows_k == 1:
-                # ndarray.dot bound once skips np.dot's dispatch, dearer than the
-                # arithmetic at small n; every output is C-contiguous and aliases no input
-                steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, a_form.dot,
-                              first_u_blocks, first_rhs, inverse[offsets[k]].dot, first_blocks[k]))
-                continue
-            if rows_k not in stacked:
-                stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], u_blocks[:rows_k],
-                                   rhs[:rows_k], blocks[:rows_k])
-            row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
-            couple = couples[k] if len(runs) == 1 else functools.partial(
-                np.matmul, coupling[:rows_k, p * k:p * k + p, p * k + p:])
-            steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
-                          functools.partial(np.matmul, inverse[offsets[k]:offsets[k] + rows_k]),
-                          row_blocks[:, k]))
-        active_runs = [(first, min(stop, num_active), tables)
-                       for first, stop, tables in runs if first < num_active]
-        # the end rows differ in length between basis counts; one run is one call
-        ends = []
-        for first, stop, tables in active_runs:
-            end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
-            tail = p * (m - tables.m)
-            if stop - first == 1:
-                ends.append((end_row.dot, state[first, tail:], u_rows[first]))
-            else:
-                ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:], u_rows[first:stop]))
-        if num_active == 1:
-            return steps, ends, state[0, p * m:], u_rows[0]
-        return steps, ends, state[:num_active, p * m:], u_rows[:num_active]
-
-    finished = []
-    for num_active, elements in _segments([count for count, _ in rows]):
-        # rows of one count retire together, after a stretch of no elements
-        if elements:
-            steps, ends, end_state, end_rows = bind(num_active)
-            for _ in range(elements):
-                for couple, tail, u, times, u_k, rhs_k, solve, y_k in steps:
-                    couple(tail, out=u)
-                    times(u_k, out=rhs_k)
-                    solve(rhs_k, out=y_k)
-                for combine, tail, out in ends:
-                    combine(tail, out=out)
-                end_state[...] = end_rows
-        # the last active row has marched its count
-        last = blocks[num_active - 1, m]
-        if p == 1:
-            finished.append(last.copy())
+    # the march's large arrays are views of one buffer, laid out in cells of one
+    # complex n x n block rounded up to 64 bytes, so that each starts aligned:
+    # the shifted blocks, the state, the u and right-hand-side buffers and, in
+    # real form, a and the embedded inverses
+    num_blocks, num_rows = offsets[-1], len(rows)
+    cell = -(-16 * n * n // 64) * 64
+    state_at = cell * num_blocks
+    u_at = state_at + cell * num_rows * (m + 1)
+    rhs_at = u_at + cell * num_rows
+    forms_at = rhs_at + cell * num_rows
+    buffer = _take_buffer(forms_at + cell * (2 + 2 * num_blocks) if p == 2 else forms_at)
+    try:
+        shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
+        state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
+        u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
+        rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
+        # shifted: the diagonal blocks of the triangularised system, one per
+        # basis step and row, inverted as complex matrices
+        if len(rows) == 1:
+            np.multiply(rows[0][1].pencil_shifts, a, out=shifted)
+            scales = 2.0 * rows[0][0]
         else:
-            psi = np.empty((n, n), dtype=np.complex128)
-            psi.real = last[:n]
-            psi.imag = last[n:]
-            finished.append(psi)
-    return finished[::-1]
+            basis_counts = np.array([tables.m for _, tables in rows])
+            # step[r, k]: row r's basis step at position k, negative before it starts
+            step = np.arange(m) - (m - basis_counts)[:, None]
+            # the rows' steps in the order of the stack: position-major, row-minor
+            order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
+            np.multiply(np.concatenate([tables.pencil_shifts for _, tables in rows])[order], a, out=shifted)
+            scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
+        shifted.reshape(-1, n * n)[:, :: n + 1] += scales
+        inverse = np.linalg.inv(shifted)
+        if p == 2:
+            a_form = real_form(a, out=np.ndarray((2 * n, 2 * n), dtype, buffer, forms_at))
+            inverse = real_form(inverse, out=np.ndarray(
+                (num_blocks, 2 * n, 2 * n), dtype, buffer, forms_at + 2 * cell))
+        else:
+            a_form = a
+        if len(runs) > 1:
+            # rows of several basis counts right-align their coupling matrices;
+            # each row reads only its own block
+            size = p * (m + 1)
+            coupling = np.empty((len(rows), size, size), dtype=dtype)
+            for first, stop, tables in runs:
+                own = tables.pencil_real
+                coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
+        elif len(rows) > 1:
+            # rows of one basis count share their coupling rows, which broadcast
+            # over however many rows are active
+            couples = [functools.partial(np.matmul, step_rows) for step_rows in first_steps[:m]]
+        # the buffer holds whatever its last march left, so the whole state is
+        # set, psi = I: ones on the diagonal of the flattened (real part of the) state
+        state.fill(0.0)
+        state[:, p * m, :: n + 1] = 1.0
+        blocks = state.reshape(len(rows), m + 1, p * n, n)
+        u_blocks = u_rows.reshape(len(rows), p * n, n)
+        times_a = functools.partial(np.matmul, a_form)
+
+        def bind(num_active):
+            """The calls of one element over the first ``num_active`` rows.
+
+            Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
+            u_k, rhs, solve, y_k)`` step: each product over the rows active there.
+            Then the end combines as ``(combine, tail, out)``, and the end state
+            with the rows it is copied from.
+            """
+            steps = []
+            # the first row's 2-D operands, which a position with one active row binds,
+            # and the stacked operands of the first rows_k rows, sliced once per count
+            first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], rhs[0], blocks[0]
+            first_u_blocks = u_blocks[0]
+            stacked = {}
+            for k in range(m - 1, -1, -1):
+                rows_k = min(num_active, active[k])
+                if rows_k == 1:
+                    # ndarray.dot bound once skips np.dot's dispatch, dearer than the
+                    # arithmetic at small n; every output is C-contiguous and aliases no input
+                    steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, a_form.dot,
+                                  first_u_blocks, first_rhs, inverse[offsets[k]].dot, first_blocks[k]))
+                    continue
+                if rows_k not in stacked:
+                    stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], u_blocks[:rows_k],
+                                       rhs[:rows_k], blocks[:rows_k])
+                row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
+                couple = couples[k] if len(runs) == 1 else functools.partial(
+                    np.matmul, coupling[:rows_k, p * k:p * k + p, p * k + p:])
+                steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
+                              functools.partial(np.matmul, inverse[offsets[k]:offsets[k] + rows_k]),
+                              row_blocks[:, k]))
+            active_runs = [(first, min(stop, num_active), tables)
+                           for first, stop, tables in runs if first < num_active]
+            # the end rows differ in length between basis counts; one run is one call
+            ends = []
+            for first, stop, tables in active_runs:
+                end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
+                tail = p * (m - tables.m)
+                if stop - first == 1:
+                    ends.append((end_row.dot, state[first, tail:], u_rows[first]))
+                else:
+                    ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
+                                 u_rows[first:stop]))
+            if num_active == 1:
+                return steps, ends, state[0, p * m:], u_rows[0]
+            return steps, ends, state[:num_active, p * m:], u_rows[:num_active]
+
+        finished = []
+        for num_active, elements in _segments([count for count, _ in rows]):
+            # rows of one count retire together, after a stretch of no elements
+            if elements:
+                steps, ends, end_state, end_rows = bind(num_active)
+                for _ in range(elements):
+                    for couple, tail, u, times, u_k, rhs_k, solve, y_k in steps:
+                        couple(tail, out=u)
+                        times(u_k, out=rhs_k)
+                        solve(rhs_k, out=y_k)
+                    for combine, tail, out in ends:
+                        combine(tail, out=out)
+                    end_state[...] = end_rows
+            # the last active row has marched its count
+            last = blocks[num_active - 1, m]
+            if p == 1:
+                finished.append(last.copy())
+            else:
+                psi = np.empty((n, n), dtype=np.complex128)
+                psi.real = last[:n]
+                psi.imag = last[n:]
+                finished.append(psi)
+        return finished[::-1]
+    finally:
+        if buffer.nbytes <= SPARE_BYTES:
+            _spare_buffers.append(buffer)

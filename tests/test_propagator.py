@@ -1,5 +1,8 @@
 import functools
+import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -470,9 +473,9 @@ def test_pencil_solve_binds_real_forms_below_the_switch(monkeypatch, n):
     # switch a and the stacked inverses are embedded, from it nothing is
     embedded = []
 
-    def counting(z):
+    def counting(z, **kwargs):
         embedded.append(z.shape)
-        return real_form(z)
+        return real_form(z, **kwargs)
 
     monkeypatch.setattr("fetexpm.propagator.real_form", counting)
     expm(np.eye(n) / 4.0, 3, 5)
@@ -581,19 +584,24 @@ def test_reports_and_tables_compare_and_hash_by_identity():
 
 
 def test_results_own_their_memory():
-    # the pencil solve keeps its state in work buffers; every result must
-    # still be a fresh array, not a view that keeps a buffer alive, and a
-    # later call must leave it alone
+    # the pencil solve keeps its state in a buffer kept between calls; every
+    # result must still be a fresh array, not a view of that buffer or one
+    # that keeps it alive, and a later call must leave it alone
     rng = np.random.default_rng(66)
-    for n in (2, 3, 5, 6, 16):
+    for n in (2, 3, 5, 6, 16, 32, 40, 64):
         first = expm(random_unit_disk(rng, n)).result
         kept = first.copy()
         second = expm(random_unit_disk(rng, n)).result
-        for result in (first, second):
+        rows = expm_each(random_unit_disk(rng, n), [(3, 8), (5, 8), (2, 4)])
+        third = expm(random_unit_disk(rng, n)).result
+        for result in (first, second, third, *rows):
             assert result.shape == (n, n) and result.dtype == np.complex128
             assert result.flags.c_contiguous and result.flags.writeable
             assert result.flags.owndata
-        assert not np.shares_memory(first, second)
+            for buffer in propagator._spare_buffers:
+                assert not np.shares_memory(result, buffer)
+        for one, other in itertools.combinations((first, second, third, *rows), 2):
+            assert not np.shares_memory(one, other)
         assert np.array_equal(first, kept)
 
 
@@ -917,3 +925,127 @@ def test_stacked_march_raises_on_a_singular_row(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         expm_each(4.0 * np.eye(3), [(3, 5), (3, 1), (3, 8), (3, 2)])
     assert sizes == [3, 1]
+
+
+def poison_kept_buffers():
+    """Fill every buffer kept between marches with NaN."""
+    for buffer in propagator._spare_buffers:
+        buffer.view(np.float64).fill(np.nan)
+
+
+def kept_buffer_calls():
+    """Calls over every pencil layout: single real-form rows, complex rows, a
+    stacked element sweep, a right-aligned basis sweep and a mixed row list."""
+    calls = [functools.partial(lambda n, e, m: [expm(march_matrix(n), e, m).result], n, e, m)
+             for n in (3, 16, 32, 40, 64) for e, m in ((8, 8), (3, 16), (1, 5))]
+    calls.append(functools.partial(expm_each, march_matrix(5), [(count, 8) for count in range(1, 13)]))
+    calls.append(functools.partial(expm_each, march_matrix(3), [(3, m) for m in range(1, 17)]))
+    calls.append(functools.partial(expm_each, march_matrix(16), [
+        (3, 8), (8, 5), (1, 16), (3, 5), (8, 8), (5, 2), (3, 8), (1, 1), (8, 12), (5, 16)]))
+    return calls
+
+
+def assert_bitwise_equal(results, references):
+    assert len(results) == len(references)
+    for result, reference in zip(results, references):
+        assert result.tobytes() == reference.tobytes()
+
+
+def test_kept_buffer_holds_no_state(monkeypatch):
+    # the kept buffer is only memory: with NaN in every byte of it before each
+    # call, each call is bitwise what it is with no buffer kept
+    calls = kept_buffer_calls()
+    references = []
+    for call in calls:
+        monkeypatch.setattr(propagator, "_spare_buffers", [])
+        references.append(call())
+    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    for _ in range(2):
+        for call, reference in zip(calls, references):
+            poison_kept_buffers()
+            assert_bitwise_equal(call(), reference)
+    # marches give back the buffer they took, so sequential calls keep one
+    assert len(propagator._spare_buffers) == 1
+
+
+def test_consecutive_calls_march_in_one_kept_buffer(monkeypatch):
+    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    marched_in = []
+
+    def inverting(blocks, _real=np.linalg.inv):
+        marched_in.append(blocks)
+        return _real(blocks)
+
+    monkeypatch.setattr(np.linalg, "inv", inverting)
+    a = march_matrix(32)
+    expm(a)
+    (kept,) = propagator._spare_buffers
+    address = kept.ctypes.data
+    expm(a)
+    assert len(propagator._spare_buffers) == 1 and propagator._spare_buffers[0] is kept
+    assert propagator._spare_buffers[0].ctypes.data == address
+    # both calls carved their shifted blocks from it
+    assert all(np.shares_memory(blocks, kept) for blocks in marched_in)
+    # with a cap below one march's buffer, nothing is kept
+    monkeypatch.setattr(propagator, "SPARE_BYTES", kept.nbytes - 1)
+    propagator._spare_buffers.clear()
+    expm(a)
+    assert propagator._spare_buffers == []
+
+
+def test_failed_march_gives_its_buffer_back(monkeypatch):
+    a = march_matrix(16)
+    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    reference = expm(a).result
+    # a singular shifted block (E = 3, m = 1 puts 4 I on a pole) raises at set-up
+    with pytest.raises(np.linalg.LinAlgError):
+        expm(4.0 * np.eye(3), 3, 1)
+    assert len(propagator._spare_buffers) == 1
+    poison_kept_buffers()
+    assert expm(a).result.tobytes() == reference.tobytes()
+    # the forced infinite inverse of test_pencil_overflowing_inverse_is_reported
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
+        with pytest.raises(OverflowError, match="solution"):
+            expm(np.eye(16) / 4.0)
+    assert len(propagator._spare_buffers) == 1
+    poison_kept_buffers()
+    assert expm(a).result.tobytes() == reference.tobytes()
+
+
+def test_threads_never_share_a_kept_buffer(monkeypatch):
+    # more threads than cores, switching often: each runs expm on its own
+    # matrix, or one expm_each sweep, again and again and checks every result
+    # against the one computed beforehand on one thread; two marches in one
+    # buffer would overwrite each other's state
+    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    rng = np.random.default_rng(3131)
+    jobs = [functools.partial(lambda a: [expm(a).result], random_unit_disk(rng, n))
+            for n in (16, 40, 64, 16, 40)]
+    jobs.append(functools.partial(expm_each, random_unit_disk(rng, 8), [(count, 8) for count in range(1, 9)]))
+    expected = [job() for job in jobs]
+    mismatches, errors = [], []
+
+    def work(job, reference):
+        try:
+            for _ in range(40):
+                results = job()
+                if [result.tobytes() for result in results] != [result.tobytes() for result in reference]:
+                    mismatches.append(job)
+        except Exception as exc:  # reported below, on the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=pair) for pair in zip(jobs, expected)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and mismatches == []
+    # each march gives back one buffer, so no more are kept than ran at once
+    assert 1 <= len(propagator._spare_buffers) <= len(threads)
