@@ -23,8 +23,9 @@ by the transformed load and end values, and ``BasisTables.pencil_real`` its
 real form.  Each is built on first use and then kept with the tables, and
 lets the element solve for all but the smallest matrices back-substitute
 over the basis index (see ``propagator``); so are the slices of them that
-every such solve reads, its shifts (``pencil_shifts``) and the coupling
-rows of each step (``pencil_steps``, ``pencil_real_steps``).
+a small solve would otherwise slice again on every call, its shifts
+(``pencil_shifts``) and the real coupling rows of each step
+(``pencil_real_steps``; ``step_rows`` slices the rows of either matrix).
 ``real_form``, that embedding of a complex matrix in a real one, serves the
 solve's other operands too.
 """
@@ -139,8 +140,10 @@ class BasisTables:
         real.setflags(write=False)
         return real
 
-    # what every pencil solve at this count reads of the coupling matrix,
-    # sliced once here rather than again on every call
+    # what pencil solves at this count read of the coupling matrices, sliced
+    # once here rather than again on every call, which pays at small n; the
+    # complex step rows serve only calls from propagator.COMPLEX_MIN_SIZE, a
+    # millisecond or more each, so those calls slice them (step_rows)
     @functools.cached_property
     def pencil_shifts(self) -> np.ndarray:
         """The negated diagonal ``-r[k, k]`` of ``pencil`` as an (m, 1, 1) array:
@@ -150,19 +153,15 @@ class BasisTables:
         return shifts
 
     @functools.cached_property
-    def pencil_steps(self) -> tuple:
-        """The rows of ``pencil`` each step reads: ``pencil[k:k + 1, k + 1:]`` for
-        basis step ``k < m``, and the end row ``pencil[m:]`` at index ``m``."""
-        return _step_rows(self.pencil, 1)
-
-    @functools.cached_property
     def pencil_real_steps(self) -> tuple:
-        """``pencil_steps`` of ``pencil_real``: two rows per step, ``[2k:2k + 2, 2k + 2:]``."""
-        return _step_rows(self.pencil_real, 2)
+        """``step_rows`` of ``pencil_real``: two rows per step, ``[2k:2k + 2, 2k + 2:]``."""
+        return step_rows(self.pencil_real, 2)
 
 
-def _step_rows(coupling: np.ndarray, p: int) -> tuple:
-    """Read-only views of the ``p`` coupling rows of each basis step and of the end."""
+def step_rows(coupling: np.ndarray, p: int) -> tuple:
+    """Views of the ``p`` coupling rows that each basis step ``k < m`` reads,
+    ``coupling[p k:p k + p, p k + p:]``, and of the end rows ``coupling[p m:]``
+    at index ``m``; read-only, as the coupling matrices are."""
     m = coupling.shape[0] // p - 1
     return tuple(coupling[p * k:p * k + p, p * k + p:] for k in range(m)) + (coupling[p * m:],)
 

@@ -25,12 +25,9 @@ count and then marches every element from ``psi(0) = I``:
   LAPACK's ``zgesv``, which factors the system again, but the same matrix
   factors with the same pivots, so the first element's check carries over
   and the solution is the same array bit for bit.  At these sizes an element
-  costs more in numpy calls than in arithmetic, so each later one makes
-  five: the product ``a psi`` through ``np.einsum``'s C function, bound
-  without its Python wrapper; the load product, written into a
-  right-hand-side buffer; the solve, written through a view straight into
-  the (column, basis, row) layout that the end values sum over; that sum;
-  and the new ``psi``.
+  costs more in numpy calls than in arithmetic, so it makes as few as it
+  can: ``np.einsum``'s C function is bound without its Python wrapper, and
+  the solve writes straight into the layout that the end values sum over.
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
   ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
@@ -59,18 +56,19 @@ stacked ``[Re Y[k]; Im Y[k]]`` and each coupling entry a 2 x 2 real block
 (``BasisTables.pencil_real``).  That is the conventional complex product as
 four real ones, so it keeps its error bound, which the three-multiplication
 form does not (Higham, SIMAX 1992).  The shifted blocks are still inverted as
-complex matrices and only then embedded.  From n = 40 the embedding's set-up
-copies and larger real products cost more than they save, so the same loop
-runs on complex operands.
+complex matrices and only then embedded.  From n = 40 the same loop runs on
+complex operands, although at E = 8 real forms take 0.84-0.98x their time
+up to n = 60; only from n = 64 do real forms take longer, 1.08x and more
+(``BENCH_32.json``).  The switch stays at 40 because moving it changes the
+bits of every result at n = 40-63, and no benchmark workload runs those
+sizes to show the gain.
 
 A pencil march's large arrays are views of one flat byte buffer that is kept
 between calls: the shifted blocks, the state with its u and right-hand-side
 buffers and, below ``COMPLEX_MIN_SIZE``, the real forms of ``a`` and of the
 inverses (``np.linalg.inv``'s own output stays numpy's).  Freed instead,
 they went back to the kernel whenever glibc trimmed the heap, and the next
-large call faulted them in again: at E = 8, (n, m) = (32, 8), (64, 8) and
-(32, 16) took 100-133, 300-316 and 285-294 minor page faults per call, up to
-a fifth of its time in the kernel, and with the kept buffer they take none
+large call faulted them in again, up to a fifth of its time in the kernel
 (``BENCH_31.json``).  Three rules make the buffer safe to share:
 
 * A march takes a buffer with ``list.pop`` and gives it back with
@@ -131,7 +129,7 @@ try:
 except ImportError:
     from numpy.core.multiarray import c_einsum
 
-from .basis import BasisTables, build_tables, real_form
+from .basis import BasisTables, build_tables, real_form, step_rows
 from .matio import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
@@ -423,7 +421,7 @@ def _pencil_propagate(a: np.ndarray, rows):
     p, dtype = (2, np.float64) if n < COMPLEX_MIN_SIZE else (1, np.complex128)
     m = rows[0][1].m
     # the first row's step rows in its own form; any other row is in real form
-    first_steps = rows[0][1].pencil_real_steps if p == 2 else rows[0][1].pencil_steps
+    first_steps = rows[0][1].pencil_real_steps if p == 2 else step_rows(rows[0][1].pencil, 1)
     # runs: consecutive rows of one basis count, as [start, stop, tables];
     # active[k]: how many rows reach back to position k, always the first ones;
     # offsets[k]: where the blocks of position k start in the stack of shifted
@@ -543,8 +541,6 @@ def _pencil_propagate(a: np.ndarray, rows):
                 else:
                     ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
                                  u_rows[first:stop]))
-            if num_active == 1:
-                return steps, ends, state[0, p * m:], u_rows[0]
             return steps, ends, state[:num_active, p * m:], u_rows[:num_active]
 
         finished = []

@@ -467,6 +467,30 @@ def test_pencil_solve_matches_complex_plain_loop():
                     assert err <= 1e-14 * np.max(np.abs(reference)), (kind, n, m, num_elements, err)
 
 
+@pytest.mark.parametrize("n", [48, 64])
+def test_real_forms_above_the_switch_agree_with_complex_operands(monkeypatch, n):
+    # the operand switch may move: real forms forced above it change only the
+    # rounding of what the complex operands give there
+    rng = np.random.default_rng(4800 + n)
+    inputs = {kind: as_complex_matrix(a) for kind, a in plain_loop_inputs(rng, n).items()}
+    cases = [(kind, num_elements, m) for kind in inputs for num_elements in (1, 8) for m in (8, 16)]
+    complex_results = [expm(inputs[kind], num_elements, m).result for kind, num_elements, m in cases]
+    embedded = []
+
+    def counting(z, **kwargs):
+        embedded.append(z.shape)
+        return real_form(z, **kwargs)
+
+    monkeypatch.setattr("fetexpm.propagator.real_form", counting)
+    monkeypatch.setattr("fetexpm.propagator.COMPLEX_MIN_SIZE", n + 1)
+    for (kind, num_elements, m), reference in zip(cases, complex_results):
+        embedded.clear()
+        result = expm(inputs[kind], num_elements, m).result
+        assert embedded == [(n, n), (m, n, n)]
+        err = max_abs_diff(result, reference)
+        assert err <= 1e-14 * np.max(np.abs(reference)), (kind, num_elements, m, err)
+
+
 @pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
 def test_pencil_solve_binds_real_forms_below_the_switch(monkeypatch, n):
     # the operand choice is made once, at set-up, from n alone: below the
