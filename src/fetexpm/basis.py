@@ -45,16 +45,16 @@ def _integrated_coeffs(m: int) -> np.ndarray:
     columns.
     """
     coeffs = np.zeros((m, m + 1))
-    coeffs[0, 0] = 1.0
-    coeffs[0, 1] = 1.0
+    coeffs[0, :2] = 1.0
+    # T_1's row on its own: the identity for k >= 2 divides by k - 1
     if m >= 2:
-        coeffs[1, 0] = -0.25
-        coeffs[1, 2] = 0.25
-    for mu in range(2, m):
-        sign = -1.0 if mu % 2 == 0 else 1.0
-        coeffs[mu, mu + 1] = 0.5 / (mu + 1)
-        coeffs[mu, mu - 1] = -0.5 / (mu - 1)
-        coeffs[mu, 0] = -0.5 * (sign / (mu + 1) - sign / (mu - 1))
+        coeffs[1, [0, 2]] = -0.25, 0.25
+    # the identity for k >= 2, its constant fixed by T_{k+1}(-1) = T_{k-1}(-1) = (-1)^(k+1)
+    k = np.arange(2, m)
+    sign = (-1.0) ** (k + 1)
+    coeffs[k, k + 1] = 0.5 / (k + 1)
+    coeffs[k, k - 1] = -0.5 / (k - 1)
+    coeffs[k, 0] = -0.5 * (sign / (k + 1) - sign / (k - 1))
     return coeffs
 
 
@@ -186,10 +186,10 @@ def _cached_tables(m: int) -> BasisTables:
     # mirror the lower triangle so symmetry is exact, not just close
     overlap = np.tril(overlap) + np.tril(overlap, -1).T
     load = deriv[:, 0].copy()
+    # basis_k(+1): 2 for k = 0, 0 for odd k and -2 / (k^2 - 1) for even k >= 2
     end_vals = np.zeros(m)
     end_vals[0] = 2.0
-    for mu in range(2, m, 2):
-        end_vals[mu] = -2.0 / (mu * mu - 1.0)
+    end_vals[2::2] = -2.0 / (np.arange(2, m, 2) ** 2 - 1.0)
     for arr in (deriv, overlap, load, end_vals):
         arr.setflags(write=False)
     return BasisTables(m=m, deriv=deriv, overlap=overlap, load=load, end_vals=end_vals)

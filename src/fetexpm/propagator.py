@@ -137,11 +137,11 @@ PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
 # largest working set, state and embedded inverses, of one march of real-form rows
-# (expm_each); a march that outgrows the 2 MiB L2 cache of the machine it was
-# measured on runs slower than one row at a time.  Measured over a sweep of
-# E = 5..40 at m = 8 (BENCH_23.json): 1 MiB holds 10 rows at n = 16 and 4 at
-# n = 24, where it beat 256 KiB, 4 MiB and no limit, and 2 at n = 32, where it
-# ran 0.83x and no limit 0.67x one row at a time
+# (expm_each).  It pays from n = 24, where a sweep with no budget takes 1.05-1.36x
+# the budget's time, and costs up to n = 16, where one takes 0.84-1.01x of it;
+# n = 20 is mixed (E = 5..40 at m = 4 and 8, m = 5..40 at E = 8; BENCH_33.json).
+# A budget whose march fills a kept buffer (SPARE_BYTES) loses from n = 24 too, on
+# element sweeps, so no one byte budget wins at every n
 MARCH_BYTES = 1 << 20
 # largest buffer of a pencil march that is kept for the next march (module
 # docstring).  Faults cost a call less as n grows, its arithmetic growing as n^3
@@ -367,11 +367,9 @@ def _dense_propagate(a: np.ndarray, rows):
     for rows, elements in _segments(element_counts):
         if rows == 1:
             psi, system, rhs, coeffs, per_col = psi[0, 0], systems[0], rhs[0], coeffs[0], per_col[0, 0]
-            to_rows = (1, 0)
         else:
             psi, system, rhs, coeffs, per_col = (psi[:rows], systems[:rows], rhs[:rows],
                                                  coeffs[:rows], per_col[:rows])
-            to_rows = (0, 1, 3, 2)
         for _ in range(elements):
             solve(system, assemble_rhs(a, psi, tables.load, out=rhs), out=coeffs)
             solve = factored
@@ -379,7 +377,7 @@ def _dense_propagate(a: np.ndarray, rows):
             # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
             # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,
             # which tests pin byte for byte
-            psi = psi + (tables.end_vals @ per_col).transpose(to_rows)
+            psi = psi + (tables.end_vals @ per_col).swapaxes(-1, -2)
         # the last active row has marched its count; a stretch of no elements
         # leaves it a view of the stack, which the result must not be
         last = psi if rows == 1 else psi[rows - 1, 0]
@@ -422,25 +420,25 @@ def _pencil_propagate(a: np.ndarray, rows):
     m = rows[0][1].m
     # the first row's step rows in its own form; any other row is in real form
     first_steps = rows[0][1].pencil_real_steps if p == 2 else step_rows(rows[0][1].pencil, 1)
-    # runs: consecutive rows of one basis count, as [start, stop, tables];
+    # runs: consecutive rows of one basis count, as (start, stop, tables);
     # active[k]: how many rows reach back to position k, always the first ones;
     # offsets[k]: where the blocks of position k start in the stack of shifted
     # blocks and inverses, position by position, so that the rows active at
     # position k are the blocks from offsets[k] (numpy's inv takes about a
     # tenth longer with a leading axis more)
     if len(rows) == 1:
-        runs, active, offsets = [[0, 1, rows[0][1]]], [1] * m, range(m + 1)
+        runs, active, offsets = [(0, 1, rows[0][1])], [1] * m, range(m + 1)
     else:
-        runs = [[0, 1, rows[0][1]]]
-        for row in range(1, len(rows)):
-            if rows[row][1].m == runs[-1][2].m:
-                runs[-1][1] = row + 1
-            else:
-                runs.append([row, row + 1, rows[row][1]])
-        active = [0] * m
-        for _, stop, tables in runs:
-            active[m - tables.m:] = [stop] * tables.m
+        basis_counts = np.array([tables.m for _, tables in rows])
+        # step[r, k]: row r's basis step at position k, negative before it starts;
+        # order: the rows' steps in the order of the stack, position-major, row-minor
+        step = np.arange(m) - (m - basis_counts)[:, None]
+        order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
+        active = (step >= 0).sum(0).tolist()
         offsets = list(itertools.accumulate(active, initial=0))
+        # a run's rows all start at one position, so active takes each run's stop
+        stops = sorted(set(active))
+        runs = [(first, stop, rows[first][1]) for first, stop in zip([0] + stops, stops)]
     # the march's large arrays are views of one buffer, laid out in cells of one
     # complex n x n block rounded up to 64 bytes, so that each starts aligned:
     # the shifted blocks, the state, the u and right-hand-side buffers and, in
@@ -463,11 +461,6 @@ def _pencil_propagate(a: np.ndarray, rows):
             np.multiply(rows[0][1].pencil_shifts, a, out=shifted)
             scales = 2.0 * rows[0][0]
         else:
-            basis_counts = np.array([tables.m for _, tables in rows])
-            # step[r, k]: row r's basis step at position k, negative before it starts
-            step = np.arange(m) - (m - basis_counts)[:, None]
-            # the rows' steps in the order of the stack: position-major, row-minor
-            order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
             np.multiply(np.concatenate([tables.pencil_shifts for _, tables in rows])[order], a, out=shifted)
             scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
         shifted.reshape(-1, n * n)[:, :: n + 1] += scales

@@ -152,6 +152,14 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "m2", "--entry", "1"])
     assert err.value.code == 1
+    for argv, message in ((["expm", "m2", "-E", "x"], "not an integer: 'x'"),
+                          (["expm", "m2", "-m", "2.5"], "not an integer: '2.5'"),
+                          (["sweep", "m2", "--entry", "0,1"], "entry indices are 1-based and positive")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
     for bad_range in ("5", "9:5", "a:b"):
         with pytest.raises(SystemExit) as err:
             main(["sweep", "m2", "--range", bad_range])
