@@ -76,7 +76,8 @@ large call faulted them in again, up to a fifth of its time in the kernel
   one buffer and ``expm`` stays reentrant and thread-safe.  The list never
   holds more buffers than marches ran at once.
 * A buffer larger than ``SPARE_BYTES`` is not kept, so one huge call pins no
-  memory once it returns.
+  memory once it returns.  No march of several rows takes more than
+  ``SPARE_BYTES`` (``expm_each``), so each one keeps its buffer.
 * It is only memory: each march writes every array before reading it, the
   whole state included, and returns fresh arrays, so no result depends on
   what the buffer held.
@@ -136,19 +137,13 @@ from .matio import as_complex_matrix
 PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
-# largest working set, state and embedded inverses, of one march of real-form rows
-# (expm_each).  It pays from n = 24, where a sweep with no budget takes 1.05-1.36x
-# the budget's time, and costs up to n = 16, where one takes 0.84-1.01x of it;
-# n = 20 is mixed (E = 5..40 at m = 4 and 8, m = 5..40 at E = 8; BENCH_33.json).
-# A budget whose march fills a kept buffer (SPARE_BYTES) loses from n = 24 too, on
-# element sweeps, so no one byte budget wins at every n
-MARCH_BYTES = 1 << 20
-# largest buffer of a pencil march that is kept for the next march (module
-# docstring).  Faults cost a call less as n grows, its arithmetic growing as n^3
-# and the faulted bytes as n^2: at E = 8 they took 5-9% of a call at n = 64 and
-# 96 and 2-3% from n = 128 (m = 8 and 16, BENCH_31.json cap).  8 MiB keeps every
-# march up to n = 96 at m = 16 and n = 128 at m = 8; expm_large's largest
-# needs 1.2 MiB
+# largest buffer of a pencil march that is kept for the next march, and so the
+# largest that expm_each lets a march of several rows take (module docstring).
+# Faults cost a call less as n grows, its arithmetic growing as n^3 and the
+# faulted bytes as n^2: at E = 8 they took 5-9% of a call at n = 64 and 96 and
+# 2-3% from n = 128 (m = 8 and 16, BENCH_31.json cap).  8 MiB keeps every
+# one-row march up to n = 96 at m = 16 and n = 128 at m = 8; expm_large's
+# largest needs 1.2 MiB
 SPARE_BYTES = 8 << 20
 
 # the kept buffers, each free for one march at a time (_take_buffer)
@@ -256,14 +251,14 @@ def expm_each(a, rows) -> list:
     and each joins the march before it if
 
     * for n <= 2, it has that march's basis count;
-    * from n = 3, its element count is at most that of the march's last row,
-      n < ``COMPLEX_MIN_SIZE``, and the march stays within ``MARCH_BYTES``
-      at ``8 (2 (M + 1) n^2 + M (2 n)^2)`` bytes per row, its state and
-      embedded inverses right-aligned to the march's first, largest, basis
-      count M;
+    * from n = 3, n < ``COMPLEX_MIN_SIZE``, its element count is at most
+      that of the march's last row, and the march's buffer stays within
+      ``SPARE_BYTES``, priced by ``_pencil_layout`` with every row's basis
+      steps counted at the march's first, largest, basis count M;
 
     and otherwise starts a new march.  So a sweep over either count, and
-    each basis count of a minimum-basis search, is one march wherever it fits.
+    each basis count of a minimum-basis search, is one march wherever it
+    fits, and every march of several rows keeps its buffer.
     """
     a = as_complex_matrix(a)
     rows = [_checked_row(*row) for row in rows]
@@ -274,15 +269,14 @@ def expm_each(a, rows) -> list:
     marches = []
     for row in order:
         num_elements, tables = rows[row]
-        if marches and (tables.m == m if n < PENCIL_MIN_SIZE else
-                        (num_elements <= rows[marches[-1][-1]][0] and len(marches[-1]) < capacity)):
+        num_rows = len(marches[-1]) + 1 if marches else 0
+        if marches and (tables.m == m if n < PENCIL_MIN_SIZE else (
+                n < COMPLEX_MIN_SIZE and num_elements <= rows[marches[-1][-1]][0]
+                and _pencil_layout(n, 2, m, num_rows, num_rows * m)[-1] <= SPARE_BYTES)):
             marches[-1].append(row)
         else:
-            # a new march, whose first row has its largest basis count m: real-form
-            # rows fill it up to MARCH_BYTES, and complex rows march alone
+            # a new march, whose first row has its largest basis count m
             m = tables.m
-            row_bytes = 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
-            capacity = MARCH_BYTES // row_bytes if n < COMPLEX_MIN_SIZE else 1
             marches.append([row])
     results = [None] * len(rows)
     for march in marches:
@@ -396,6 +390,25 @@ def _take_buffer(nbytes: int) -> np.ndarray:
     return buffer if buffer.nbytes >= nbytes else np.empty(nbytes, dtype=np.uint8)
 
 
+def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> list:
+    """Where a pencil march's arrays start in its buffer, and the buffer's
+    size, in bytes: ``[state, u, rhs, a, inverses, size]``.
+
+    The buffer is laid out in cells of one complex n x n block rounded up to
+    64 bytes, so that each array starts aligned: the ``num_blocks`` shifted
+    blocks; per row its ``m + 1`` state blocks, u and the right-hand side;
+    and in real form (``p = 2``) two cells for ``a`` and two for each
+    embedded inverse.  With at most ``num_rows m`` blocks a real-form march
+    so takes at most ``num_rows (4 m + 3) + 2`` cells, the price at which
+    ``expm_each`` admits its rows.
+    """
+    cell = -(-16 * n * n // 64) * 64
+    forms = 2 if p == 2 else 0
+    cells = (num_blocks, num_rows * (m + 1), num_rows, num_rows, forms, forms * num_blocks)
+    # each array ends where the next starts
+    return [cell * end for end in itertools.accumulate(cells)]
+
+
 def _pencil_propagate(a: np.ndarray, rows):
     """The pencil solve: ``psi`` after each row's count of elements from the
     identity, for ``(num_elements, tables)`` rows whose basis and element
@@ -425,9 +438,11 @@ def _pencil_propagate(a: np.ndarray, rows):
     # offsets[k]: where the blocks of position k start in the stack of shifted
     # blocks and inverses, position by position, so that the rows active at
     # position k are the blocks from offsets[k] (numpy's inv takes about a
-    # tenth longer with a leading axis more)
+    # tenth longer with a leading axis more); shifts and scales: the -r[k, k] and
+    # scale of each shifted block, in the order of the stack
     if len(rows) == 1:
         runs, active, offsets = [(0, 1, rows[0][1])], [1] * m, range(m + 1)
+        shifts, scales = rows[0][1].pencil_shifts, 2.0 * rows[0][0]
     else:
         basis_counts = np.array([tables.m for _, tables in rows])
         # step[r, k]: row r's basis step at position k, negative before it starts;
@@ -439,38 +454,8 @@ def _pencil_propagate(a: np.ndarray, rows):
         # a run's rows all start at one position, so active takes each run's stop
         stops = sorted(set(active))
         runs = [(first, stop, rows[first][1]) for first, stop in zip([0] + stops, stops)]
-    # the march's large arrays are views of one buffer, laid out in cells of one
-    # complex n x n block rounded up to 64 bytes, so that each starts aligned:
-    # the shifted blocks, the state, the u and right-hand-side buffers and, in
-    # real form, a and the embedded inverses
-    num_blocks, num_rows = offsets[-1], len(rows)
-    cell = -(-16 * n * n // 64) * 64
-    state_at = cell * num_blocks
-    u_at = state_at + cell * num_rows * (m + 1)
-    rhs_at = u_at + cell * num_rows
-    forms_at = rhs_at + cell * num_rows
-    buffer = _take_buffer(forms_at + cell * (2 + 2 * num_blocks) if p == 2 else forms_at)
-    try:
-        shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
-        state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
-        u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
-        rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
-        # shifted: the diagonal blocks of the triangularised system, one per
-        # basis step and row, inverted as complex matrices
-        if len(rows) == 1:
-            np.multiply(rows[0][1].pencil_shifts, a, out=shifted)
-            scales = 2.0 * rows[0][0]
-        else:
-            np.multiply(np.concatenate([tables.pencil_shifts for _, tables in rows])[order], a, out=shifted)
-            scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
-        shifted.reshape(-1, n * n)[:, :: n + 1] += scales
-        inverse = np.linalg.inv(shifted)
-        if p == 2:
-            a_form = real_form(a, out=np.ndarray((2 * n, 2 * n), dtype, buffer, forms_at))
-            inverse = real_form(inverse, out=np.ndarray(
-                (num_blocks, 2 * n, 2 * n), dtype, buffer, forms_at + 2 * cell))
-        else:
-            a_form = a
+        shifts = np.concatenate([tables.pencil_shifts for _, tables in rows])[order]
+        scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
         if len(runs) > 1:
             # rows of several basis counts right-align their coupling matrices;
             # each row reads only its own block
@@ -479,10 +464,30 @@ def _pencil_propagate(a: np.ndarray, rows):
             for first, stop, tables in runs:
                 own = tables.pencil_real
                 coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
-        elif len(rows) > 1:
+        else:
             # rows of one basis count share their coupling rows, which broadcast
             # over however many rows are active
             couples = [functools.partial(np.matmul, step_rows) for step_rows in first_steps[:m]]
+    # the march's large arrays are views of one buffer (_pencil_layout)
+    num_blocks, num_rows = offsets[-1], len(rows)
+    state_at, u_at, rhs_at, a_at, inverse_at, nbytes = _pencil_layout(n, p, m, num_rows, num_blocks)
+    buffer = _take_buffer(nbytes)
+    try:
+        shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
+        state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
+        u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
+        rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
+        # shifted: the diagonal blocks of the triangularised system, one per
+        # basis step and row, inverted as complex matrices
+        np.multiply(shifts, a, out=shifted)
+        shifted.reshape(-1, n * n)[:, :: n + 1] += scales
+        inverse = np.linalg.inv(shifted)
+        if p == 2:
+            a_form = real_form(a, out=np.ndarray((2 * n, 2 * n), dtype, buffer, a_at))
+            inverse = real_form(inverse, out=np.ndarray(
+                (num_blocks, 2 * n, 2 * n), dtype, buffer, inverse_at))
+        else:
+            a_form = a
         # the buffer holds whatever its last march left, so the whole state is
         # set, psi = I: ones on the diagonal of the flattened (real part of the) state
         state.fill(0.0)

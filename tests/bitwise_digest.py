@@ -9,9 +9,10 @@ It imports ``fetexpm`` from this checkout's ``src`` and prints one line,
 digest means every result below is the same array bit for bit.  The cases
 cover the dense solve (n <= 2) on single rows and stacked marches, the pencil
 solve on real forms (3 <= n < 40) for single rows, marches of one basis count
-and of several, and marches that the working-set budget splits (n = 16, 24),
-complex operands (n >= 40), and the ``table1`` rows.  pytest does not collect
-this file.
+and of several, and sweeps that the ``SPARE_BYTES`` bound splits into several
+marches (the n = 16 basis sweep, the n = 24 element sweep at m = 8), complex
+operands (n >= 40), and the ``table1`` rows.  pytest does not collect this
+file.
 """
 
 import hashlib
@@ -47,8 +48,8 @@ def cases():
             for e, m in counts:
                 yield f"expm n={n} {kind} E={e} m={m}", expm(a, e, m).result
     # marches: sweeps over elements and over basis counts, and a mixed list
-    # whose rows differ in both counts, in no order.  At n = 16 and 24 the
-    # working-set budget splits the element sweep into several marches
+    # whose rows differ in both counts, in no order.  SPARE_BYTES splits the
+    # n = 16 basis sweep and the n = 24 element sweep at m = 8 into several marches
     mixed = [(3, 8), (8, 5), (1, 16), (3, 5), (8, 8), (5, 2), (3, 8), (1, 1), (8, 12), (5, 16)]
     for n in (1, 2, 3, 5, 16, 24, 40):
         a = inputs(n)[0]

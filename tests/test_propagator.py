@@ -774,8 +774,9 @@ def one_expm(n, num_elements, num_basis):
 
 
 def three_rows(n, m):
-    """A ``MARCH_BYTES`` of three rows of basis count m at size n."""
-    return 3 * 8 * (2 * (m + 1) * n * n + m * (2 * n) ** 2)
+    """A ``SPARE_BYTES`` that admits three real-form rows of basis count m at size n
+    to one march, priced as ``expm_each`` prices them."""
+    return propagator._pencil_layout(n, 2, m, 3, 3 * m)[-1]
 
 
 def assert_march_matches_one_expm_per_row(n, rows):
@@ -797,16 +798,16 @@ def march_count_lists(top):
 def test_stacked_march_matches_one_expm_per_count_bitwise(monkeypatch, n):
     # every row of one march equals its own expm call to the bit, on the dense
     # solve (n <= 2), on real forms (3 <= n < 40) and on complex operands
-    # (n >= 40), whose rows march one at a time whatever the budget; each
-    # count list is marched whole and, with a budget of three real-form rows,
-    # in marches of three (at n >= 16 and m = 16 the default budget already
-    # holds at most a few rows).  From n = 33 the one-count references for
-    # m = 8 and 16 stop at 12 elements, which keeps the test within seconds
+    # (n >= 40), whose rows march one at a time whatever the bound; each
+    # count list is marched whole and, with a SPARE_BYTES of three real-form
+    # rows, in marches of three (at n >= 33 and m = 16 the default bound
+    # already holds at most seven rows).  From n = 33 the one-count references
+    # for m = 8 and 16 stop at 12 elements, which keeps the test within seconds
     for m in (1, 2, 5, 8, 16):
         top = 40 if n <= 16 or m <= 5 else 12
-        for budget in (None, three_rows(n, m)):
-            if budget is not None:
-                monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", budget)
+        for bound in (None, three_rows(n, m)):
+            if bound is not None:
+                monkeypatch.setattr("fetexpm.propagator.SPARE_BYTES", bound)
             for counts in march_count_lists(top):
                 assert_march_matches_one_expm_per_row(n, [(count, m) for count in counts])
             monkeypatch.undo()
@@ -823,14 +824,14 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
     # rows of one element count and several basis counts: from n = 3 one march
     # right-aligns their basis steps, and the dense solve marches each count on
     # its own; either way every row equals its own expm call to the bit.  Each
-    # list is marched whole and, with a budget of three rows of the largest
-    # count, in several marches.
+    # list is marched whole and, with a SPARE_BYTES of three rows of the
+    # largest count, in several marches.
     # From n = 39 the lists stop at 16 basis functions, which keeps the test
     # within seconds
     top = 40 if n <= 16 else 16
-    for budget in (None, three_rows(n, top)):
-        if budget is not None:
-            monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", budget)
+    for bound in (None, three_rows(n, top)):
+        if bound is not None:
+            monkeypatch.setattr("fetexpm.propagator.SPARE_BYTES", bound)
         for num_elements in (1, 3, 8):
             for counts in basis_count_lists(top):
                 assert_march_matches_one_expm_per_row(n, [(num_elements, m) for m in counts])
@@ -841,27 +842,13 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
-def test_only_real_form_rows_share_a_chunk(monkeypatch, n):
-    # below the operand switch the default budget puts several rows of a
-    # sweep in one march; from it every row of a sweep over either count
-    # marches alone.  The name keeps the word of the old layer, whose chunks
-    # are now expm_each's marches
-    sizes = record_marches(monkeypatch)
-    expm_each(march_matrix(n), [(count, 2) for count in range(5, 41)])
-    expm_each(march_matrix(n), [(8, m) for m in range(1, 13)])
-    if n < COMPLEX_MIN_SIZE:
-        assert max(sizes) > 1
-    else:
-        assert sizes == [1] * (36 + 12)
-
-
 def test_expm_each_forms_the_pinned_marches(monkeypatch):
     # expm_each alone decides which rows march together: the dense solve
-    # (n <= 2) marches one basis count; from n = 3 rows march together while
-    # their element counts do not grow and the real-form working set fits in
-    # MARCH_BYTES (10 rows of m = 8 at n = 16, 4 at n = 24, none beside a
-    # first row of m = 16 at n = 32), and from n = 40 every row marches alone
+    # (n <= 2) marches one basis count; from n = 3 real-form rows march
+    # together while their element counts do not grow and the march's buffer
+    # fits in SPARE_BYTES, each row priced at 4 M + 3 cells of the march's
+    # first basis count M (36 rows of m = 8 at n = 16, 25 at n = 24, 7 of
+    # m = 16 at n = 32), and from n = 40 every row marches alone
     sizes = record_marches(monkeypatch, solve=False)
     elements = [(count, 8) for count in range(5, 41)]
     basis = [(8, m) for m in range(1, 41)]
@@ -871,16 +858,49 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
             (2, basis, [1] * 40),
             (5, elements, [36]),
             (3, [(8, m) for m in range(5, 41)], [36]),
-            (16, elements, [10, 10, 10, 6]),
-            (16, basis, [2, 2, 2, 2, 2, 2, 3, 3, 3, 4, 5, 8, 2]),
-            (24, elements, [4] * 9),
-            (32, [(count, 16) for count in range(5, 41)], [1] * 36),
-            (39, [(count, 2) for count in range(5, 41)], [6] * 6),
+            (16, elements, [36]),
+            (16, basis, [12, 17, 11]),
+            (24, elements, [25, 11]),
+            (32, [(count, 16) for count in range(5, 41)], [7] * 5 + [1]),
+            (39, [(count, 2) for count in range(5, 41)], [31, 5]),
+            (39, basis[:12], [6, 6]),
             (40, [(count, 2) for count in range(5, 41)], [1] * 36),
+            (40, basis[:12], [1] * 12),
             (5, mixed, [2, 4, 2, 2])):
         sizes.clear()
         assert len(expm_each(np.eye(n), rows)) == len(rows)
         assert sizes == expected, f"n={n} rows={rows}"
+
+
+@pytest.mark.parametrize("n", [9, 16, 24, 39])
+def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
+    # SPARE_BYTES bounds the memory of every march of several rows: each asks
+    # _take_buffer for at most that, and so its buffer is kept when it ends, on
+    # element sweeps and on basis sweeps that expm_each splits into several marches
+    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    taken, stacked = [], []
+
+    def taking(nbytes, _real=propagator._take_buffer):
+        taken.append((nbytes, _real(nbytes)))
+        return taken[-1][1]
+
+    def marching(a, rows, _real=propagator._pencil_propagate):
+        taken.clear()
+        results = _real(a, rows)
+        ((nbytes, buffer),) = taken
+        if len(rows) > 1:
+            stacked.append(len(rows))
+            assert nbytes <= propagator.SPARE_BYTES, f"n={n} rows={rows}"
+            assert any(kept is buffer for kept in propagator._spare_buffers), f"n={n} rows={rows}"
+        return results
+
+    monkeypatch.setattr(propagator, "_take_buffer", taking)
+    monkeypatch.setattr(propagator, "_pencil_propagate", marching)
+    for rows in ([(count, 2) for count in range(5, 41)], [(count, 8) for count in range(5, 41)],
+                 [(8, m) for m in range(1, 41)]):
+        stacked.clear()
+        assert len(expm_each(march_matrix(n), rows)) == len(rows)
+        assert stacked, f"n={n} rows={rows}"
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
@@ -913,14 +933,14 @@ def test_stacked_march_reports_an_overflowing_row(monkeypatch):
                          [(128, 5), (128, 8), (128, 2)], [(1, 5), (1, 8), (128, 6), (1, 2)]):
                 with pytest.raises(OverflowError, match="solution"):
                     expm_each(a, rows)
-    # a later march checks its own rows: with a budget of three rows, the
+    # a later march checks its own rows: with a SPARE_BYTES of three rows, the
     # overflowing row marches second.  30 elements of (40 + 4e-12) I put the
     # element width just off a pole of the m = 1 element map, and the m = 2
     # and 3 rows stay finite
     a = (40.0 + 4e-12) * np.eye(16)
     rows = [(30, 2), (30, 3), (30, 2), (30, 1)]
     assert all(np.isfinite(result).all() for result in expm_each(a, rows[:3]))
-    monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", three_rows(16, 3))
+    monkeypatch.setattr("fetexpm.propagator.SPARE_BYTES", three_rows(16, 3))
     sizes = record_marches(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -942,9 +962,9 @@ def test_stacked_march_raises_on_a_singular_row(monkeypatch):
                 expm_each(a, rows)
         assert len(expm_each(a, [(1, 1), (2, 1), (4, 1)])) == 3
         assert len(expm_each(a, [(3, 5), (3, 2), (3, 8)])) == 3
-    # so does a later march: with a budget of three rows, the singular row
+    # so does a later march: with a SPARE_BYTES of three rows, the singular row
     # marches second, after three that are not
-    monkeypatch.setattr("fetexpm.propagator.MARCH_BYTES", three_rows(3, 8))
+    monkeypatch.setattr("fetexpm.propagator.SPARE_BYTES", three_rows(3, 8))
     sizes = record_marches(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError):
         expm_each(4.0 * np.eye(3), [(3, 5), (3, 1), (3, 8), (3, 2)])
