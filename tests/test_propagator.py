@@ -842,6 +842,21 @@ def test_basis_march_matches_one_expm_per_row_bitwise(monkeypatch, n):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
+def test_only_real_form_rows_share_a_chunk(monkeypatch, n):
+    # below the operand switch the default SPARE_BYTES puts several rows of a
+    # sweep in one march; from it every row of a sweep over either count
+    # marches alone.  The name keeps the word of the old layer, whose chunks
+    # are now expm_each's marches
+    sizes = record_marches(monkeypatch)
+    expm_each(march_matrix(n), [(count, 2) for count in range(5, 41)])
+    expm_each(march_matrix(n), [(8, m) for m in range(1, 13)])
+    if n < COMPLEX_MIN_SIZE:
+        assert max(sizes) > 1
+    else:
+        assert sizes == [1] * (36 + 12)
+
+
 def test_expm_each_forms_the_pinned_marches(monkeypatch):
     # expm_each alone decides which rows march together: the dense solve
     # (n <= 2) marches one basis count; from n = 3 real-form rows march
