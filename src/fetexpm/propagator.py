@@ -63,24 +63,37 @@ up to n = 60; only from n = 64 do real forms take longer, 1.08x and more
 bits of every result at n = 40-63, and no benchmark workload runs those
 sizes to show the gain.
 
-A pencil march's large arrays are views of one flat byte buffer that is kept
-between calls: the shifted blocks, the state with its u and right-hand-side
-buffers and, below ``COMPLEX_MIN_SIZE``, the real forms of ``a`` and of the
-inverses (``np.linalg.inv``'s own output stays numpy's).  Freed instead,
-they went back to the kernel whenever glibc trimmed the heap, and the next
-large call faulted them in again, up to a fifth of its time in the kernel
-(``BENCH_31.json``).  Three rules make the buffer safe to share:
+A march's arrays and bound calls depend on its layout alone, not on ``a``
+or the element counts: for the pencil solve the size, the operand form and
+the rows' basis counts, for the dense solve the size, the basis count and
+the number of rows.  So each march is kept between calls and looked up by
+its layout (``_MarchStore``).  A kept pencil march holds one flat byte
+buffer with views of the shifted blocks, the state with its u and
+right-hand-side buffers, ``a`` and the inverses (in real form below
+``COMPLEX_MIN_SIZE``), and one element's bound calls for each count of
+active rows it has run.  A kept dense march holds its right-hand-side and
+coefficient buffers, their views and the solve kernel.  A repeat call at a
+layout it has run so skips the layout, the views and the binding, about
+30 us at n = 3..8 and m = 8: a third of a call at E = 1 and a sixth at E = 8
+(``BENCH_35.json``).  Its memory also stays with the process, where freed
+buffers went back to the kernel whenever glibc trimmed the heap and the next
+large call faulted them in again (``BENCH_31.json``).
+Each call still writes ``a``, the shifted blocks, their inverses, by
+``np.linalg.inv`` so that an exactly singular block raises, and the state.
+Three rules make the kept marches safe to share:
 
-* A march takes a buffer with ``list.pop`` and gives it back with
-  ``list.append`` however it ends, each atomic, so no two marches ever hold
-  one buffer and ``expm`` stays reentrant and thread-safe.  The list never
-  holds more buffers than marches ran at once.
-* A buffer larger than ``SPARE_BYTES`` is not kept, so one huge call pins no
-  memory once it returns.  No march of several rows takes more than
-  ``SPARE_BYTES`` (``expm_each``), so each one keeps its buffer.
+* A march takes a kept march out of the store and gives it back however it
+  ends, both under one lock, so no two live marches ever share one and
+  ``expm`` stays reentrant and thread-safe.  The store keeps one march per
+  layout.
+* The kept buffers take at most ``SPARE_BYTES`` in all: the least recently
+  used marches are dropped first, and a march whose buffer alone is larger
+  is not kept, so one huge call pins no memory once it returns.  No march
+  of several rows takes more than ``SPARE_BYTES`` (``expm_each``), so each
+  one can be kept.
 * It is only memory: each march writes every array before reading it, the
   whole state included, and returns fresh arrays, so no result depends on
-  what the buffer held.
+  what a kept march held.
 
 ``expm_each`` marches several ``(E, m)`` rows of one matrix together, and
 its docstring gives the one rule for which rows share a march.  A march's
@@ -100,12 +113,12 @@ one basis count, and the dense solve, one march per basis count.
 
 Every row stays bitwise equal to one ``expm`` call: each stacked call runs
 the same LAPACK or BLAS kernel per row.  A position with one active row,
-which is all of ``expm``'s single row, binds that row's 2-D operands and
-bound ``ndarray.dot`` calls, because stacked operands cost a single row more
-in ``np.matmul`` dispatch.  Complex rows march one at a time: ``np.matmul``
-rounds the (1 x 1)(1 x n^2) complex product of the first back-substitution
-step differently from ``ndarray.dot``, so stacked complex rows would need a
-binding of their own.
+which is all of ``expm``'s single row, calls ``ndarray.dot`` methods bound
+to that row's 2-D operands, because stacked operands cost a single row more
+in ``np.matmul`` dispatch; its kept march binds them once.  Complex rows
+march one at a time: ``np.matmul`` rounds the (1 x 1)(1 x n^2) complex
+product of the first back-substitution step differently from
+``ndarray.dot``, so stacked complex rows would need a binding of their own.
 
 Only ``expm`` and ``expm_each`` check input and decide overflow, by one
 rule for both solves (``expm``'s Raises section); the functions here trust
@@ -115,6 +128,7 @@ them.
 import functools
 import itertools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,17 +151,14 @@ from .matio import as_complex_matrix
 PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
-# largest buffer of a pencil march that is kept for the next march, and so the
-# largest that expm_each lets a march of several rows take (module docstring).
+# most bytes of buffers that the kept marches hold together, and so the largest
+# buffer that expm_each lets a march of several rows take (module docstring).
 # Faults cost a call less as n grows, its arithmetic growing as n^3 and the
 # faulted bytes as n^2: at E = 8 they took 5-9% of a call at n = 64 and 96 and
 # 2-3% from n = 128 (m = 8 and 16, BENCH_31.json cap).  8 MiB keeps every
 # one-row march up to n = 96 at m = 16 and n = 128 at m = 8; expm_large's
-# largest needs 1.2 MiB
+# largest needs 1.75 MiB and its three layouts 3.4 MiB together
 SPARE_BYTES = 8 << 20
-
-# the kept buffers, each free for one march at a time (_take_buffer)
-_spare_buffers = []
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,6 +334,78 @@ def _segments(element_counts):
         done = element_counts[rows - 1]
 
 
+class _MarchStore:
+    """Marches kept between calls by layout, with at most ``SPARE_BYTES`` of
+    buffers in all (module docstring).
+
+    ``take`` removes a march from the store, so no other march can take it
+    until ``give_back`` returns it; both hold the lock, so ``expm`` stays
+    reentrant and thread-safe.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        # by key, the least recently given back first
+        self._marches = {}
+        self.nbytes = 0
+
+    def take(self, key):
+        """The kept march of layout ``key``, or None if none is free."""
+        with self._lock:
+            march = self._marches.pop(key, None)
+            if march is not None:
+                self.nbytes -= march.buffer.nbytes
+            return march
+
+    def give_back(self, march):
+        """Keep ``march`` for the next march of its layout, unless its buffer
+        alone exceeds ``SPARE_BYTES`` or one of that layout is kept already;
+        the least recently used marches go until the rest fit."""
+        with self._lock:
+            if march.buffer.nbytes > SPARE_BYTES or march.key in self._marches:
+                return
+            self._marches[march.key] = march
+            self.nbytes += march.buffer.nbytes
+            while self.nbytes > SPARE_BYTES:
+                self.nbytes -= self._marches.pop(next(iter(self._marches))).buffer.nbytes
+
+
+_kept_marches = _MarchStore()
+
+
+class _DenseMarch:
+    """What a dense march over ``num_rows`` rows of basis count m at size n
+    needs besides ``a`` and its element counts: one buffer for each element's
+    right-hand sides and coefficients, views of it, and the solve kernel.
+
+    ``per_col`` holds the coefficients as (column, basis, row), one contiguous
+    (m, n) block per column, evaluated at +1; the solve writes them through
+    ``coeffs``, a view that orders each row's (basis, row) x column block by
+    columns.
+    """
+
+    def __init__(self, key, n, m, num_rows):
+        self.key = key
+        size = num_rows * m * n * n
+        self.buffer = np.empty(2 * size, dtype=np.complex128)
+        self.rhs = self.buffer[:size].reshape(num_rows, m * n, n)
+        self.per_col = self.buffer[size:].reshape(num_rows, 1, n, m, n)
+        self.coeffs = self.per_col.transpose(0, 1, 3, 4, 2).reshape(self.rhs.shape)
+        self.solve = functools.partial(_umath_linalg.solve, signature="DD->D")
+        # bind's results by count of active rows
+        self.bound = {}
+
+    def bind(self, num_active):
+        """``(rhs, coeffs, per_col)`` of the first ``num_active`` rows, kept in
+        ``bound``; one row's are its 2-D views, as for a single count."""
+        if num_active == 1:
+            bound = self.rhs[0], self.coeffs[0], self.per_col[0, 0]
+        else:
+            bound = self.rhs[:num_active], self.coeffs[:num_active], self.per_col[:num_active]
+        self.bound[num_active] = bound
+        return bound
+
+
 def _dense_propagate(a: np.ndarray, rows):
     """The dense solve: ``psi`` after each row's count of elements from the
     identity, for ``(num_elements, tables)`` rows of one basis count with
@@ -330,8 +413,7 @@ def _dense_propagate(a: np.ndarray, rows):
 
     Rows sit on the leading axis of the systems, of the states, which stack
     as (rows, 1, n, n) (``assemble_rhs``), and of the buffers that each
-    element writes; with one active row the operands are that row's 2-D
-    views, as for a single count.
+    element writes, which come from a kept march (``_DenseMarch``).
     """
     n = a.shape[0]
     tables = rows[0][1]
@@ -340,12 +422,8 @@ def _dense_propagate(a: np.ndarray, rows):
     systems = assemble_system(a, 2.0 * np.array(element_counts, dtype=float), tables)
     # the identity broadcasts over the rows until the first element
     psi = np.eye(n, dtype=np.complex128)[None, None]
-    rhs = np.empty((len(rows), tables.m * n, n), dtype=np.complex128)
-    # the coefficients as (column, basis, row): one contiguous (m, n) block per
-    # column, evaluated at +1.  The solve writes them through a view that
-    # orders each row's (basis, row) x column block by columns
-    per_col = np.empty((len(rows), 1, n, tables.m, n), dtype=np.complex128)
-    coeffs = per_col.transpose(0, 1, 3, 4, 2).reshape(rhs.shape)
+    key = ("dense", n, tables.m, len(rows))
+    march = _kept_marches.take(key) or _DenseMarch(key, n, tables.m, len(rows))
 
     def solve_checked(system, b, out):
         out[...] = np.linalg.solve(system, b)
@@ -357,37 +435,25 @@ def _dense_propagate(a: np.ndarray, rows):
     # again, with the same pivots and so none of them zero, and returns bitwise the
     # same solution, without the wrapper's type checks and errstate (half of each call)
     solve = solve_checked
-    factored = functools.partial(_umath_linalg.solve, signature="DD->D")
-    for rows, elements in _segments(element_counts):
-        if rows == 1:
-            psi, system, rhs, coeffs, per_col = psi[0, 0], systems[0], rhs[0], coeffs[0], per_col[0, 0]
-        else:
-            psi, system, rhs, coeffs, per_col = (psi[:rows], systems[:rows], rhs[:rows],
-                                                 coeffs[:rows], per_col[:rows])
-        for _ in range(elements):
-            solve(system, assemble_rhs(a, psi, tables.load, out=rhs), out=coeffs)
-            solve = factored
-            # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
-            # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
-            # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,
-            # which tests pin byte for byte
-            psi = psi + (tables.end_vals @ per_col).swapaxes(-1, -2)
-        # the last active row has marched its count; a stretch of no elements
-        # leaves it a view of the stack, which the result must not be
-        last = psi if rows == 1 else psi[rows - 1, 0]
-        results.append(last if rows == 1 and elements else last.copy())
-    return results[::-1]
-
-
-def _take_buffer(nbytes: int) -> np.ndarray:
-    """A flat byte buffer of at least ``nbytes``: a kept one if one is free and
-    large enough, else a new one.  ``list.pop`` is atomic, so no two marches
-    ever hold the same buffer."""
     try:
-        buffer = _spare_buffers.pop()
-    except IndexError:
-        return np.empty(nbytes, dtype=np.uint8)
-    return buffer if buffer.nbytes >= nbytes else np.empty(nbytes, dtype=np.uint8)
+        for rows, elements in _segments(element_counts):
+            rhs, coeffs, per_col = march.bound.get(rows) or march.bind(rows)
+            psi, system = (psi[0, 0], systems[0]) if rows == 1 else (psi[:rows], systems[:rows])
+            for _ in range(elements):
+                solve(system, assemble_rhs(a, psi, tables.load, out=rhs), out=coeffs)
+                solve = march.solve
+                # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
+                # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
+                # and with it table1 m1's E = 5 row (10 -> 11) and the README's m1 digits,
+                # which tests pin byte for byte
+                psi = psi + (tables.end_vals @ per_col).swapaxes(-1, -2)
+            # the last active row has marched its count; a stretch of no elements
+            # leaves it a view of the stack, which the result must not be
+            last = psi if rows == 1 else psi[rows - 1, 0]
+            results.append(last if rows == 1 and elements else last.copy())
+    finally:
+        _kept_marches.give_back(march)
+    return results[::-1]
 
 
 def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> list:
@@ -397,16 +463,141 @@ def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> li
     The buffer is laid out in cells of one complex n x n block rounded up to
     64 bytes, so that each array starts aligned: the ``num_blocks`` shifted
     blocks; per row its ``m + 1`` state blocks, u and the right-hand side;
-    and in real form (``p = 2``) two cells for ``a`` and two for each
-    embedded inverse.  With at most ``num_rows m`` blocks a real-form march
-    so takes at most ``num_rows (4 m + 3) + 2`` cells, the price at which
-    ``expm_each`` admits its rows.
+    and ``p`` cells for ``a`` and ``p`` for each inverse, in real form when
+    ``p = 2``.  With at most ``num_rows m`` blocks a real-form march so takes
+    at most ``num_rows (4 m + 3) + 2`` cells, the price at which ``expm_each``
+    admits its rows.
     """
     cell = -(-16 * n * n // 64) * 64
-    forms = 2 if p == 2 else 0
-    cells = (num_blocks, num_rows * (m + 1), num_rows, num_rows, forms, forms * num_blocks)
+    cells = (num_blocks, num_rows * (m + 1), num_rows, num_rows, p, p * num_blocks)
     # each array ends where the next starts
     return [cell * end for end in itertools.accumulate(cells)]
+
+
+class _PencilMarch:
+    """What a pencil march needs besides ``a`` and its element counts, for
+    rows of given basis counts at size n: its layout, the views of its buffer
+    and, per count of active rows, one element's bound calls (``bind``).
+
+    Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
+    inverses, and its state at ``m``, where ``m`` is the first row's, largest,
+    count.  Below ``COMPLEX_MIN_SIZE`` (``p = 2``) each block is held as the
+    stacked real ``[Re Y[k]; Im Y[k]]`` in two of its rows, and ``a``, the
+    inverses and the coupling are bound in real form, so that each product is
+    one real BLAS call; from it every operand is complex, each block takes
+    ``p = 1`` row, and a march holds one row.
+    """
+
+    def __init__(self, key, n, p, rows):
+        self.key, self.p = key, p
+        dtype = np.float64 if p == 2 else np.complex128
+        m = self.m = rows[0][1].m
+        # the first row's step rows in its own form; any other row is in real form
+        self.first_steps = rows[0][1].pencil_real_steps if p == 2 else step_rows(rows[0][1].pencil, 1)
+        # runs: consecutive rows of one basis count, as (start, stop, tables);
+        # active[k]: how many rows reach back to position k, always the first ones;
+        # offsets[k]: where the blocks of position k start in the stack of shifted
+        # blocks and inverses, position by position, so that the rows active at
+        # position k are the blocks from offsets[k] (numpy's inv takes about a
+        # tenth longer with a leading axis more); shifts: the -r[k, k] of each
+        # shifted block, and block_rows the row it belongs to, in the order of the stack
+        if len(rows) == 1:
+            self.runs, self.active, self.offsets = [(0, 1, rows[0][1])], [1] * m, range(m + 1)
+            self.shifts = rows[0][1].pencil_shifts
+        else:
+            basis_counts = np.array([tables.m for _, tables in rows])
+            # step[r, k]: row r's basis step at position k, negative before it starts;
+            # order: the rows' steps in the order of the stack, position-major, row-minor
+            step = np.arange(m) - (m - basis_counts)[:, None]
+            order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
+            self.active = (step >= 0).sum(0).tolist()
+            self.offsets = list(itertools.accumulate(self.active, initial=0))
+            # a run's rows all start at one position, so active takes each run's stop
+            stops = sorted(set(self.active))
+            self.runs = [(first, stop, rows[first][1]) for first, stop in zip([0] + stops, stops)]
+            self.shifts = np.concatenate([tables.pencil_shifts for _, tables in rows])[order]
+            self.block_rows = np.repeat(np.arange(len(rows)), basis_counts)[order, None]
+            if len(self.runs) > 1:
+                # rows of several basis counts right-align their coupling matrices;
+                # each row reads only its own block
+                size = p * (m + 1)
+                self.coupling = np.empty((len(rows), size, size), dtype=dtype)
+                for first, stop, tables in self.runs:
+                    own = tables.pencil_real
+                    self.coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
+            else:
+                # rows of one basis count share their coupling rows, which broadcast
+                # over however many rows are active
+                self.couples = [functools.partial(np.matmul, step) for step in self.first_steps[:m]]
+        # the large arrays are views of one buffer (_pencil_layout)
+        num_blocks, num_rows = self.offsets[-1], len(rows)
+        state_at, u_at, rhs_at, a_at, inverse_at, nbytes = _pencil_layout(n, p, m, num_rows, num_blocks)
+        buffer = self.buffer = np.empty(nbytes, dtype=np.uint8)
+        # shifted: the diagonal blocks of the triangularised system, one per
+        # basis step and row, inverted as complex matrices
+        self.shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
+        self.diagonals = self.shifted.reshape(num_blocks, n * n)[:, ::n + 1]
+        self.state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
+        # psi's diagonal in the flattened (real part of the) state
+        self.psi_diagonal = self.state[:, p * m, ::n + 1]
+        self.u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
+        self.rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
+        self.a_form = np.ndarray((p * n, p * n), dtype, buffer, a_at)
+        self.inverse = np.ndarray((num_blocks, p * n, p * n), dtype, buffer, inverse_at)
+        self.blocks = self.state.reshape(num_rows, m + 1, p * n, n)
+        self.u_blocks = self.u_rows.reshape(num_rows, p * n, n)
+        # bind's results by count of active rows
+        self.bound = {}
+
+    def bind(self, num_active):
+        """The calls of one element over the first ``num_active`` rows, kept in
+        ``bound``.
+
+        Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
+        u_k, rhs, solve, y_k)`` step: each product over the rows active there.
+        Then the end combines as ``(combine, tail, out)``, and the end state
+        with the rows it is copied from.
+        """
+        p, m, state, u_rows, first_steps = self.p, self.m, self.state, self.u_rows, self.first_steps
+        times_a = functools.partial(np.matmul, self.a_form)
+        steps = []
+        # the first row's 2-D operands, which a position with one active row binds,
+        # and the stacked operands of the first rows_k rows, sliced once per count
+        first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], self.rhs[0], self.blocks[0]
+        first_u_blocks = self.u_blocks[0]
+        stacked = {}
+        for k in range(m - 1, -1, -1):
+            rows_k = min(num_active, self.active[k])
+            offset = self.offsets[k]
+            if rows_k == 1:
+                # ndarray.dot bound once skips np.dot's dispatch, dearer than the
+                # arithmetic at small n; every output is C-contiguous and aliases no input
+                steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, self.a_form.dot,
+                              first_u_blocks, first_rhs, self.inverse[offset].dot, first_blocks[k]))
+                continue
+            if rows_k not in stacked:
+                stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], self.u_blocks[:rows_k],
+                                   self.rhs[:rows_k], self.blocks[:rows_k])
+            row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
+            couple = self.couples[k] if len(self.runs) == 1 else functools.partial(
+                np.matmul, self.coupling[:rows_k, p * k:p * k + p, p * k + p:])
+            steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
+                          functools.partial(np.matmul, self.inverse[offset:offset + rows_k]),
+                          row_blocks[:, k]))
+        active_runs = [(first, min(stop, num_active), tables)
+                       for first, stop, tables in self.runs if first < num_active]
+        # the end rows differ in length between basis counts; one run is one call
+        ends = []
+        for first, stop, tables in active_runs:
+            end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
+            tail = p * (m - tables.m)
+            if stop - first == 1:
+                ends.append((end_row.dot, state[first, tail:], u_rows[first]))
+            else:
+                ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
+                             u_rows[first:stop]))
+        bound = self.bound[num_active] = steps, ends, state[:num_active, p * m:], u_rows[:num_active]
+        return bound
 
 
 def _pencil_propagate(a: np.ndarray, rows):
@@ -416,136 +607,40 @@ def _pencil_propagate(a: np.ndarray, rows):
 
     Per row, a work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row
     ``k < m`` forms ``u_k`` from it and row ``m`` the end state, which
-    replaces ``psi``.  Row r's basis step k sits at position ``m - m_r + k``
-    of its buffers and inverses, and its state at ``m``, where ``m`` is the
-    first row's, largest, count.  Set-up picks the operands by n alone, and
-    the loop is the same for both.  Below ``COMPLEX_MIN_SIZE`` the buffer
-    holds each block as the stacked real ``[Re Y[k]; Im Y[k]]`` in ``p = 2``
-    of its rows, and ``a``, the inverses and the coupling are bound in real
-    form, so that each product is one real BLAS call (the module docstring
-    says why).  From ``COMPLEX_MIN_SIZE`` every operand is complex and each
-    block takes ``p = 1`` row; such a march holds one row.  The large arrays
-    are views of one kept byte buffer (module docstring), which the march
-    gives back however it ends; every result is a fresh array.
+    replaces ``psi``.  Set-up picks the operands by n alone (``_PencilMarch``
+    and the module docstring say why), and the loop is the same for both.
+    The march's arrays and calls come from a kept march, which it gives back
+    however it ends; it writes ``a``, the shifted blocks, their inverses and
+    the state afresh, and every result is a fresh array.
     """
     n = a.shape[0]
-    p, dtype = (2, np.float64) if n < COMPLEX_MIN_SIZE else (1, np.complex128)
-    m = rows[0][1].m
-    # the first row's step rows in its own form; any other row is in real form
-    first_steps = rows[0][1].pencil_real_steps if p == 2 else step_rows(rows[0][1].pencil, 1)
-    # runs: consecutive rows of one basis count, as (start, stop, tables);
-    # active[k]: how many rows reach back to position k, always the first ones;
-    # offsets[k]: where the blocks of position k start in the stack of shifted
-    # blocks and inverses, position by position, so that the rows active at
-    # position k are the blocks from offsets[k] (numpy's inv takes about a
-    # tenth longer with a leading axis more); shifts and scales: the -r[k, k] and
-    # scale of each shifted block, in the order of the stack
-    if len(rows) == 1:
-        runs, active, offsets = [(0, 1, rows[0][1])], [1] * m, range(m + 1)
-        shifts, scales = rows[0][1].pencil_shifts, 2.0 * rows[0][0]
-    else:
-        basis_counts = np.array([tables.m for _, tables in rows])
-        # step[r, k]: row r's basis step at position k, negative before it starts;
-        # order: the rows' steps in the order of the stack, position-major, row-minor
-        step = np.arange(m) - (m - basis_counts)[:, None]
-        order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
-        active = (step >= 0).sum(0).tolist()
-        offsets = list(itertools.accumulate(active, initial=0))
-        # a run's rows all start at one position, so active takes each run's stop
-        stops = sorted(set(active))
-        runs = [(first, stop, rows[first][1]) for first, stop in zip([0] + stops, stops)]
-        shifts = np.concatenate([tables.pencil_shifts for _, tables in rows])[order]
-        scales = np.repeat([2.0 * count for count, _ in rows], basis_counts)[order, None]
-        if len(runs) > 1:
-            # rows of several basis counts right-align their coupling matrices;
-            # each row reads only its own block
-            size = p * (m + 1)
-            coupling = np.empty((len(rows), size, size), dtype=dtype)
-            for first, stop, tables in runs:
-                own = tables.pencil_real
-                coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
-        else:
-            # rows of one basis count share their coupling rows, which broadcast
-            # over however many rows are active
-            couples = [functools.partial(np.matmul, step_rows) for step_rows in first_steps[:m]]
-    # the march's large arrays are views of one buffer (_pencil_layout)
-    num_blocks, num_rows = offsets[-1], len(rows)
-    state_at, u_at, rhs_at, a_at, inverse_at, nbytes = _pencil_layout(n, p, m, num_rows, num_blocks)
-    buffer = _take_buffer(nbytes)
+    p = 2 if n < COMPLEX_MIN_SIZE else 1
+    key = ("real" if p == 2 else "complex", n) + tuple(tables.m for _, tables in rows)
+    march = _kept_marches.take(key) or _PencilMarch(key, n, p, rows)
+    m = march.m
     try:
-        shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
-        state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
-        u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
-        rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
-        # shifted: the diagonal blocks of the triangularised system, one per
-        # basis step and row, inverted as complex matrices
-        np.multiply(shifts, a, out=shifted)
-        shifted.reshape(-1, n * n)[:, :: n + 1] += scales
-        inverse = np.linalg.inv(shifted)
-        if p == 2:
-            a_form = real_form(a, out=np.ndarray((2 * n, 2 * n), dtype, buffer, a_at))
-            inverse = real_form(inverse, out=np.ndarray(
-                (num_blocks, 2 * n, 2 * n), dtype, buffer, inverse_at))
+        np.multiply(march.shifts, a, out=march.shifted)
+        if len(rows) == 1:
+            scales = 2.0 * rows[0][0]
         else:
-            a_form = a
-        # the buffer holds whatever its last march left, so the whole state is
-        # set, psi = I: ones on the diagonal of the flattened (real part of the) state
-        state.fill(0.0)
-        state[:, p * m, :: n + 1] = 1.0
-        blocks = state.reshape(len(rows), m + 1, p * n, n)
-        u_blocks = u_rows.reshape(len(rows), p * n, n)
-        times_a = functools.partial(np.matmul, a_form)
-
-        def bind(num_active):
-            """The calls of one element over the first ``num_active`` rows.
-
-            Per basis position, from m - 1 down, one ``(couple, tail, u, times_a,
-            u_k, rhs, solve, y_k)`` step: each product over the rows active there.
-            Then the end combines as ``(combine, tail, out)``, and the end state
-            with the rows it is copied from.
-            """
-            steps = []
-            # the first row's 2-D operands, which a position with one active row binds,
-            # and the stacked operands of the first rows_k rows, sliced once per count
-            first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], rhs[0], blocks[0]
-            first_u_blocks = u_blocks[0]
-            stacked = {}
-            for k in range(m - 1, -1, -1):
-                rows_k = min(num_active, active[k])
-                if rows_k == 1:
-                    # ndarray.dot bound once skips np.dot's dispatch, dearer than the
-                    # arithmetic at small n; every output is C-contiguous and aliases no input
-                    steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, a_form.dot,
-                                  first_u_blocks, first_rhs, inverse[offsets[k]].dot, first_blocks[k]))
-                    continue
-                if rows_k not in stacked:
-                    stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], u_blocks[:rows_k],
-                                       rhs[:rows_k], blocks[:rows_k])
-                row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
-                couple = couples[k] if len(runs) == 1 else functools.partial(
-                    np.matmul, coupling[:rows_k, p * k:p * k + p, p * k + p:])
-                steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
-                              functools.partial(np.matmul, inverse[offsets[k]:offsets[k] + rows_k]),
-                              row_blocks[:, k]))
-            active_runs = [(first, min(stop, num_active), tables)
-                           for first, stop, tables in runs if first < num_active]
-            # the end rows differ in length between basis counts; one run is one call
-            ends = []
-            for first, stop, tables in active_runs:
-                end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
-                tail = p * (m - tables.m)
-                if stop - first == 1:
-                    ends.append((end_row.dot, state[first, tail:], u_rows[first]))
-                else:
-                    ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
-                                 u_rows[first:stop]))
-            return steps, ends, state[:num_active, p * m:], u_rows[:num_active]
-
+            scales = np.array([2.0 * count for count, _ in rows])[march.block_rows]
+        np.add(march.diagonals, scales, out=march.diagonals)
+        inverse = np.linalg.inv(march.shifted)
+        if p == 2:
+            real_form(a, out=march.a_form)
+            real_form(inverse, out=march.inverse)
+        else:
+            # bound calls read a and the inverses from the march's own memory
+            march.a_form[...] = a
+            march.inverse[...] = inverse
+        # the buffer holds whatever its last march left, so the whole state is set, psi = I
+        march.state.fill(0.0)
+        march.psi_diagonal.fill(1.0)
         finished = []
         for num_active, elements in _segments([count for count, _ in rows]):
             # rows of one count retire together, after a stretch of no elements
             if elements:
-                steps, ends, end_state, end_rows = bind(num_active)
+                steps, ends, end_state, end_rows = march.bound.get(num_active) or march.bind(num_active)
                 for _ in range(elements):
                     for couple, tail, u, times, u_k, rhs_k, solve, y_k in steps:
                         couple(tail, out=u)
@@ -555,7 +650,7 @@ def _pencil_propagate(a: np.ndarray, rows):
                         combine(tail, out=out)
                     end_state[...] = end_rows
             # the last active row has marched its count
-            last = blocks[num_active - 1, m]
+            last = march.blocks[num_active - 1, m]
             if p == 1:
                 finished.append(last.copy())
             else:
@@ -565,5 +660,4 @@ def _pencil_propagate(a: np.ndarray, rows):
                 finished.append(psi)
         return finished[::-1]
     finally:
-        if buffer.nbytes <= SPARE_BYTES:
-            _spare_buffers.append(buffer)
+        _kept_marches.give_back(march)

@@ -608,9 +608,9 @@ def test_reports_and_tables_compare_and_hash_by_identity():
 
 
 def test_results_own_their_memory():
-    # the pencil solve keeps its state in a buffer kept between calls; every
-    # result must still be a fresh array, not a view of that buffer or one
-    # that keeps it alive, and a later call must leave it alone
+    # both solves keep their working memory in marches kept between calls;
+    # every result must still be a fresh array, not a view of a kept buffer
+    # or one that keeps it alive, and a later call must leave it alone
     rng = np.random.default_rng(66)
     for n in (2, 3, 5, 6, 16, 32, 40, 64):
         first = expm(random_unit_disk(rng, n)).result
@@ -622,8 +622,8 @@ def test_results_own_their_memory():
             assert result.shape == (n, n) and result.dtype == np.complex128
             assert result.flags.c_contiguous and result.flags.writeable
             assert result.flags.owndata
-            for buffer in propagator._spare_buffers:
-                assert not np.shares_memory(result, buffer)
+            for march in kept_marches():
+                assert not np.shares_memory(result, march.buffer)
         for one, other in itertools.combinations((first, second, third, *rows), 2):
             assert not np.shares_memory(one, other)
         assert np.array_equal(first, kept)
@@ -889,27 +889,27 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 16, 24, 39])
 def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
-    # SPARE_BYTES bounds the memory of every march of several rows: each asks
-    # _take_buffer for at most that, and so its buffer is kept when it ends, on
-    # element sweeps and on basis sweeps that expm_each splits into several marches
-    monkeypatch.setattr(propagator, "_spare_buffers", [])
-    taken, stacked = [], []
+    # SPARE_BYTES bounds the memory of every march of several rows: each
+    # carves at most that, and so it is kept when it ends, on element sweeps
+    # and on basis sweeps that expm_each splits into several marches
+    store = fresh_store(monkeypatch)
+    given, stacked = [], []
 
-    def taking(nbytes, _real=propagator._take_buffer):
-        taken.append((nbytes, _real(nbytes)))
-        return taken[-1][1]
+    def giving_back(march, _real=store.give_back):
+        _real(march)
+        given.append(march)
 
     def marching(a, rows, _real=propagator._pencil_propagate):
-        taken.clear()
+        given.clear()
         results = _real(a, rows)
-        ((nbytes, buffer),) = taken
+        (march,) = given
         if len(rows) > 1:
             stacked.append(len(rows))
-            assert nbytes <= propagator.SPARE_BYTES, f"n={n} rows={rows}"
-            assert any(kept is buffer for kept in propagator._spare_buffers), f"n={n} rows={rows}"
+            assert march.buffer.nbytes <= propagator.SPARE_BYTES, f"n={n} rows={rows}"
+            assert store._marches.get(march.key) is march, f"n={n} rows={rows}"
         return results
 
-    monkeypatch.setattr(propagator, "_take_buffer", taking)
+    monkeypatch.setattr(store, "give_back", giving_back)
     monkeypatch.setattr(propagator, "_pencil_propagate", marching)
     for rows in ([(count, 2) for count in range(5, 41)], [(count, 8) for count in range(5, 41)],
                  [(8, m) for m in range(1, 41)]):
@@ -986,17 +986,31 @@ def test_stacked_march_raises_on_a_singular_row(monkeypatch):
     assert sizes == [3, 1]
 
 
+def fresh_store(monkeypatch):
+    """An empty store of kept marches in place of the module's, for this test."""
+    store = propagator._MarchStore()
+    monkeypatch.setattr(propagator, "_kept_marches", store)
+    return store
+
+
+def kept_marches():
+    """The marches kept between calls, least recently used first."""
+    return list(propagator._kept_marches._marches.values())
+
+
 def poison_kept_buffers():
-    """Fill every buffer kept between marches with NaN."""
-    for buffer in propagator._spare_buffers:
-        buffer.view(np.float64).fill(np.nan)
+    """Fill every buffer of the kept marches with NaN."""
+    for march in kept_marches():
+        march.buffer.view(np.float64).fill(np.nan)
 
 
 def kept_buffer_calls():
-    """Calls over every pencil layout: single real-form rows, complex rows, a
-    stacked element sweep, a right-aligned basis sweep and a mixed row list."""
+    """Calls over every layout: single dense, real-form and complex rows, a
+    dense and a stacked element sweep, a right-aligned basis sweep and a mixed
+    row list."""
     calls = [functools.partial(lambda n, e, m: [expm(march_matrix(n), e, m).result], n, e, m)
-             for n in (3, 16, 32, 40, 64) for e, m in ((8, 8), (3, 16), (1, 5))]
+             for n in (1, 2, 3, 16, 32, 40, 64) for e, m in ((8, 8), (3, 16), (1, 5))]
+    calls.append(functools.partial(expm_each, march_matrix(2), [(count, 8) for count in range(1, 13)]))
     calls.append(functools.partial(expm_each, march_matrix(5), [(count, 8) for count in range(1, 13)]))
     calls.append(functools.partial(expm_each, march_matrix(3), [(3, m) for m in range(1, 17)]))
     calls.append(functools.partial(expm_each, march_matrix(16), [
@@ -1010,25 +1024,58 @@ def assert_bitwise_equal(results, references):
         assert result.tobytes() == reference.tobytes()
 
 
-def test_kept_buffer_holds_no_state(monkeypatch):
-    # the kept buffer is only memory: with NaN in every byte of it before each
-    # call, each call is bitwise what it is with no buffer kept
-    calls = kept_buffer_calls()
+def assert_store_within_bound(store):
+    """The store's byte count is its buffers' total, at most ``SPARE_BYTES``."""
+    assert store.nbytes == sum(march.buffer.nbytes for march in store._marches.values())
+    assert store.nbytes <= propagator.SPARE_BYTES
+
+
+def fresh_references(monkeypatch, calls):
+    """Each call's results with no march kept before it."""
     references = []
     for call in calls:
-        monkeypatch.setattr(propagator, "_spare_buffers", [])
+        fresh_store(monkeypatch)
         references.append(call())
-    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    return references
+
+
+def test_kept_buffer_holds_no_state(monkeypatch):
+    # a kept march is only memory: with NaN in every byte of every kept
+    # buffer before each call, each call is bitwise what it is with no march kept
+    calls = kept_buffer_calls()
+    references = fresh_references(monkeypatch, calls)
+    store = fresh_store(monkeypatch)
+    taken, given = [], []
+    monkeypatch.setattr(store, "take", lambda key, _real=store.take: taken.append(key) or _real(key))
+    monkeypatch.setattr(store, "give_back",
+                        lambda march, _real=store.give_back: given.append(march.key) or _real(march))
     for _ in range(2):
         for call, reference in zip(calls, references):
             poison_kept_buffers()
             assert_bitwise_equal(call(), reference)
-    # marches give back the buffer they took, so sequential calls keep one
-    assert len(propagator._spare_buffers) == 1
+            # each march gives back the march of the layout it took, within the bound
+            assert given == taken
+            assert_store_within_bound(store)
+    assert len(taken) > len(calls)
+
+
+def test_alternating_sizes_hold_no_state(monkeypatch):
+    # calls that alternate sizes, as expm_small's do, each find the march the
+    # last call at their size left, NaN-poisoned, and give the same bits
+    rng = np.random.default_rng(3535)
+    calls = [functools.partial(lambda a: [expm(a).result], random_unit_disk(rng, n))
+             for n in (4, 8, 4, 2, 8, 4, 8, 2, 2, 4)]
+    references = fresh_references(monkeypatch, calls)
+    fresh_store(monkeypatch)
+    for _ in range(2):
+        for call, reference in zip(calls, references):
+            poison_kept_buffers()
+            assert_bitwise_equal(call(), reference)
+    assert len(kept_marches()) == 3
 
 
 def test_consecutive_calls_march_in_one_kept_buffer(monkeypatch):
-    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    store = fresh_store(monkeypatch)
     marched_in = []
 
     def inverting(blocks, _real=np.linalg.inv):
@@ -1038,36 +1085,105 @@ def test_consecutive_calls_march_in_one_kept_buffer(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", inverting)
     a = march_matrix(32)
     expm(a)
-    (kept,) = propagator._spare_buffers
-    address = kept.ctypes.data
+    (kept,) = kept_marches()
+    address = kept.buffer.ctypes.data
     expm(a)
-    assert len(propagator._spare_buffers) == 1 and propagator._spare_buffers[0] is kept
-    assert propagator._spare_buffers[0].ctypes.data == address
+    assert kept_marches() == [kept] and kept.buffer.ctypes.data == address
     # both calls carved their shifted blocks from it
-    assert all(np.shares_memory(blocks, kept) for blocks in marched_in)
+    assert len(marched_in) == 2 and all(np.shares_memory(blocks, kept.buffer) for blocks in marched_in)
     # with a cap below one march's buffer, nothing is kept
-    monkeypatch.setattr(propagator, "SPARE_BYTES", kept.nbytes - 1)
-    propagator._spare_buffers.clear()
+    monkeypatch.setattr(propagator, "SPARE_BYTES", kept.buffer.nbytes - 1)
+    store = fresh_store(monkeypatch)
     expm(a)
-    assert propagator._spare_buffers == []
+    assert kept_marches() == [] and store.nbytes == 0
+
+
+def test_repeat_call_reuses_its_kept_march(monkeypatch):
+    # a march's layout, views and bound calls depend on n and the basis counts
+    # alone: a repeat call at a size it has run, whatever its matrix and element
+    # count, neither lays out, carves nor binds anything, and a call at a new
+    # size builds its own march
+    fresh_store(monkeypatch)
+    built = []
+    for march in (propagator._DenseMarch, propagator._PencilMarch):
+        def binding(self, num_active, _real=march.bind):
+            built.append("bind")
+            return _real(self, num_active)
+
+        monkeypatch.setattr(march, "bind", binding)
+    for name in ("_pencil_layout", "_DenseMarch", "_PencilMarch"):
+        def counting(*args, _name=name, _real=getattr(propagator, name)):
+            built.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(propagator, name, counting)
+    rng = np.random.default_rng(3536)
+    for n, layout in ((2, ["_DenseMarch", "bind"]), (4, ["_PencilMarch", "_pencil_layout", "bind"]),
+                      (8, ["_PencilMarch", "_pencil_layout", "bind"]),
+                      (40, ["_PencilMarch", "_pencil_layout", "bind"])):
+        built.clear()
+        expm(random_unit_disk(rng, n), 3)
+        assert built == layout, f"n={n}"
+        for num_elements in (3, 1, 8):
+            built.clear()
+            expm(random_unit_disk(rng, n), num_elements)
+            assert built == [], f"n={n} E={num_elements}"
+        # another basis count is another layout
+        built.clear()
+        expm(random_unit_disk(rng, n), 3, 5)
+        assert built == layout, f"n={n}"
+    # a stacked march binds once per count of active rows, on the first call
+    # (expm_each prices each row it admits with _pencil_layout, every call)
+    rows = [(count, 8) for count in range(1, 6)]
+    for binds in (5, 0):
+        built.clear()
+        expm_each(random_unit_disk(rng, 5), rows)
+        assert built.count("_PencilMarch") == min(binds, 1) and built.count("bind") == binds
+
+
+def test_kept_marches_stay_within_the_bound(monkeypatch):
+    # over many layouts, single rows and sweeps mixed, the store drops its
+    # least recently used marches and its buffers never take more than
+    # SPARE_BYTES in all; the march just given back is always kept
+    store = fresh_store(monkeypatch)
+    layouts = set()
+    for n in range(3, 40):
+        a = march_matrix(n)
+        for m in range(1, 17):
+            if (n + m) % 4:
+                expm(a, 1, m)
+                rows = [(1, m)]
+            else:
+                rows = [(2, m), (1, m), (1, max(m - 3, 1))]
+                expm_each(a, rows)
+            assert_store_within_bound(store)
+            layout = ("real", n) + tuple(sorted((m for _, m in rows), reverse=True))
+            assert kept_marches()[-1].key == layout
+            layouts.add(layout)
+    # together the layouts run take more than SPARE_BYTES, so some were dropped
+    assert len(kept_marches()) < len(layouts)
 
 
 def test_failed_march_gives_its_buffer_back(monkeypatch):
     a = march_matrix(16)
-    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    fresh_store(monkeypatch)
     reference = expm(a).result
-    # a singular shifted block (E = 3, m = 1 puts 4 I on a pole) raises at set-up
-    with pytest.raises(np.linalg.LinAlgError):
-        expm(4.0 * np.eye(3), 3, 1)
-    assert len(propagator._spare_buffers) == 1
+    (kept,) = kept_marches()
+    # a singular shifted block (E = 3, m = 1 puts 4 I on a pole) raises at set-up,
+    # and so does the dense system of [[4.0]] at the same counts
+    for size in (3, 1):
+        with pytest.raises(np.linalg.LinAlgError):
+            expm(4.0 * np.eye(size), 3, 1)
+    assert len(kept_marches()) == 3 and kept_marches()[0] is kept
     poison_kept_buffers()
     assert expm(a).result.tobytes() == reference.tobytes()
-    # the forced infinite inverse of test_pencil_overflowing_inverse_is_reported
+    # the forced infinite inverse of test_pencil_overflowing_inverse_is_reported,
+    # at the same layout as a's march, which it takes and gives back
     with monkeypatch.context() as patched:
         patched.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
         with pytest.raises(OverflowError, match="solution"):
             expm(np.eye(16) / 4.0)
-    assert len(propagator._spare_buffers) == 1
+    assert len(kept_marches()) == 3 and kept_marches()[-1] is kept
     poison_kept_buffers()
     assert expm(a).result.tobytes() == reference.tobytes()
 
@@ -1076,11 +1192,12 @@ def test_threads_never_share_a_kept_buffer(monkeypatch):
     # more threads than cores, switching often: each runs expm on its own
     # matrix, or one expm_each sweep, again and again and checks every result
     # against the one computed beforehand on one thread; two marches in one
-    # buffer would overwrite each other's state
-    monkeypatch.setattr(propagator, "_spare_buffers", [])
+    # buffer would overwrite each other's state.  Two pairs of threads run
+    # the same layouts, so they contend for one kept march
+    store = fresh_store(monkeypatch)
     rng = np.random.default_rng(3131)
     jobs = [functools.partial(lambda a: [expm(a).result], random_unit_disk(rng, n))
-            for n in (16, 40, 64, 16, 40)]
+            for n in (16, 40, 64, 16, 40, 2)]
     jobs.append(functools.partial(expm_each, random_unit_disk(rng, 8), [(count, 8) for count in range(1, 9)]))
     expected = [job() for job in jobs]
     mismatches, errors = [], []
@@ -1106,5 +1223,6 @@ def test_threads_never_share_a_kept_buffer(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and mismatches == []
-    # each march gives back one buffer, so no more are kept than ran at once
-    assert 1 <= len(propagator._spare_buffers) <= len(threads)
+    # the store keeps one march per layout, so no more than ran at once
+    assert 1 <= len(kept_marches()) <= 5
+    assert_store_within_bound(store)
