@@ -22,12 +22,10 @@ form of ``deriv^-1 overlap``, built by deflation with numpy alone, bordered
 by the transformed load and end values, and ``BasisTables.pencil_real`` its
 real form.  Each is built on first use and then kept with the tables, and
 lets the element solve for all but the smallest matrices back-substitute
-over the basis index (see ``propagator``); so are the slices of them that
-a small solve would otherwise slice again on every call, its shifts
-(``pencil_shifts``) and the real coupling rows of each step
-(``pencil_real_steps``; ``step_rows`` slices the rows of either matrix).
-``real_form``, that embedding of a complex matrix in a real one, serves the
-solve's other operands too.
+over the basis index (see ``propagator``).  A pencil march slices its
+shifts and coupling rows from them once, when it is built for a layout,
+and keeps them between calls.  ``real_form``, that embedding of a complex
+matrix in a real one, serves the solve's other operands too.
 """
 
 import functools
@@ -139,31 +137,6 @@ class BasisTables:
         real = real.reshape(2 * m + 2, 2 * m + 2)
         real.setflags(write=False)
         return real
-
-    # what pencil solves at this count read of the coupling matrices, sliced
-    # once here rather than again on every call, which pays at small n; the
-    # complex step rows serve only calls from propagator.COMPLEX_MIN_SIZE, a
-    # millisecond or more each, so those calls slice them (step_rows)
-    @functools.cached_property
-    def pencil_shifts(self) -> np.ndarray:
-        """The negated diagonal ``-r[k, k]`` of ``pencil`` as an (m, 1, 1) array:
-        times ``a`` it stacks the shifted blocks ``scale I - r[k, k] a`` but for their scale."""
-        shifts = -self.pencil.diagonal()[:self.m, None, None]
-        shifts.setflags(write=False)
-        return shifts
-
-    @functools.cached_property
-    def pencil_real_steps(self) -> tuple:
-        """``step_rows`` of ``pencil_real``: two rows per step, ``[2k:2k + 2, 2k + 2:]``."""
-        return step_rows(self.pencil_real, 2)
-
-
-def step_rows(coupling: np.ndarray, p: int) -> tuple:
-    """Views of the ``p`` coupling rows that each basis step ``k < m`` reads,
-    ``coupling[p k:p k + p, p k + p:]``, and of the end rows ``coupling[p m:]``
-    at index ``m``; read-only, as the coupling matrices are."""
-    m = coupling.shape[0] // p - 1
-    return tuple(coupling[p * k:p * k + p, p * k + p:] for k in range(m)) + (coupling[p * m:],)
 
 
 def build_tables(m: int) -> BasisTables:

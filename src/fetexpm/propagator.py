@@ -70,12 +70,14 @@ the number of rows.  So each march is kept between calls and looked up by
 its layout (``_MarchStore``).  A kept pencil march holds one flat byte
 buffer with views of the shifted blocks, the state with its u and
 right-hand-side buffers, ``a`` and the inverses (in real form below
-``COMPLEX_MIN_SIZE``), and one element's bound calls for each count of
-active rows it has run.  A kept dense march holds its right-hand-side and
-coefficient buffers, their views and the solve kernel.  A repeat call at a
-layout it has run so skips the layout, the views and the binding, about
-30 us at n = 3..8 and m = 8: a third of a call at E = 1 and a sixth at E = 8
-(``BENCH_35.json``).  Its memory also stays with the process, where freed
+``COMPLEX_MIN_SIZE``); outside it, the shifts and coupling rows it sliced
+from its tables when it was built, with the right-aligned coupling matrices
+of rows of several basis counts; and one element's bound calls for each
+count of active rows it has run.  A kept dense march holds its
+right-hand-side and coefficient buffers, their views and the solve kernel.
+A repeat call at a layout it has run so skips the layout, the views and the
+binding, about 30 us at n = 3..8 and m = 8: a third of a call at E = 1 and
+a sixth at E = 8 (``BENCH_35.json``).  Its memory also stays with the process, where freed
 buffers went back to the kernel whenever glibc trimmed the heap and the next
 large call faulted them in again (``BENCH_31.json``).
 Each call still writes ``a``, the shifted blocks, their inverses, by
@@ -86,11 +88,11 @@ Three rules make the kept marches safe to share:
   ends, both under one lock, so no two live marches ever share one and
   ``expm`` stays reentrant and thread-safe.  The store keeps one march per
   layout.
-* The kept buffers take at most ``SPARE_BYTES`` in all: the least recently
-  used marches are dropped first, and a march whose buffer alone is larger
-  is not kept, so one huge call pins no memory once it returns.  No march
-  of several rows takes more than ``SPARE_BYTES`` (``expm_each``), so each
-  one can be kept.
+* The kept marches take at most ``SPARE_BYTES`` in all, counting every
+  array each one keeps: the least recently used marches are dropped first,
+  and a march that alone is larger is not kept, so one huge call pins no
+  memory once it returns.  No march of several rows takes more than
+  ``SPARE_BYTES`` (``expm_each``), so each one can be kept.
 * It is only memory: each march writes every array before reading it, the
   whole state included, and returns fresh arrays, so no result depends on
   what a kept march held.
@@ -144,15 +146,15 @@ try:
 except ImportError:
     from numpy.core.multiarray import c_einsum
 
-from .basis import BasisTables, build_tables, real_form, step_rows
+from .basis import BasisTables, build_tables, real_form
 from .matio import as_complex_matrix
 
 # matrix size from which expm uses the pencil solve (see the module docstring)
 PENCIL_MIN_SIZE = 3
 # matrix size from which the pencil solve multiplies complex operands, not real forms
 COMPLEX_MIN_SIZE = 40
-# most bytes of buffers that the kept marches hold together, and so the largest
-# buffer that expm_each lets a march of several rows take (module docstring).
+# most bytes of arrays that the kept marches hold together, and so the most
+# that expm_each lets a march of several rows take (module docstring).
 # Faults cost a call less as n grows, its arithmetic growing as n^3 and the
 # faulted bytes as n^2: at E = 8 they took 5-9% of a call at n = 64 and 96 and
 # 2-3% from n = 128 (m = 8 and 16, BENCH_31.json cap).  8 MiB keeps every
@@ -263,13 +265,13 @@ def expm_each(a, rows) -> list:
 
     * for n <= 2, it has that march's basis count;
     * from n = 3, n < ``COMPLEX_MIN_SIZE``, its element count is at most
-      that of the march's last row, and the march's buffer stays within
+      that of the march's last row, and the march stays within
       ``SPARE_BYTES``, priced by ``_pencil_layout`` with every row's basis
       steps counted at the march's first, largest, basis count M;
 
     and otherwise starts a new march.  So a sweep over either count, and
     each basis count of a minimum-basis search, is one march wherever it
-    fits, and every march of several rows keeps its buffer.
+    fits, and every march of several rows is kept.
     """
     a = as_complex_matrix(a)
     rows = [_checked_row(*row) for row in rows]
@@ -336,11 +338,15 @@ def _segments(element_counts):
 
 class _MarchStore:
     """Marches kept between calls by layout, with at most ``SPARE_BYTES`` of
-    buffers in all (module docstring).
+    arrays in all, each march counted at its ``nbytes`` (module docstring).
 
     ``take`` removes a march from the store, so no other march can take it
     until ``give_back`` returns it; both hold the lock, so ``expm`` stays
-    reentrant and thread-safe.
+    reentrant and thread-safe.  It keeps whole marches, so two layouts that
+    together exceed ``SPARE_BYTES`` evict each other on every call:
+    alternating ``expm`` at (n, m) = (96, 16) and (64, 8), E = 1, took 21.6
+    minor faults per call against 13.2 with one shared buffer, though still
+    less time (``BENCH_35.json`` ``layout_thrash``).
     """
 
     def __init__(self):
@@ -354,20 +360,20 @@ class _MarchStore:
         with self._lock:
             march = self._marches.pop(key, None)
             if march is not None:
-                self.nbytes -= march.buffer.nbytes
+                self.nbytes -= march.nbytes
             return march
 
     def give_back(self, march):
-        """Keep ``march`` for the next march of its layout, unless its buffer
-        alone exceeds ``SPARE_BYTES`` or one of that layout is kept already;
-        the least recently used marches go until the rest fit."""
+        """Keep ``march`` for the next march of its layout, unless it alone
+        exceeds ``SPARE_BYTES`` or one of that layout is kept already; the
+        least recently used marches go until the rest fit."""
         with self._lock:
-            if march.buffer.nbytes > SPARE_BYTES or march.key in self._marches:
+            if march.nbytes > SPARE_BYTES or march.key in self._marches:
                 return
             self._marches[march.key] = march
-            self.nbytes += march.buffer.nbytes
+            self.nbytes += march.nbytes
             while self.nbytes > SPARE_BYTES:
-                self.nbytes -= self._marches.pop(next(iter(self._marches))).buffer.nbytes
+                self.nbytes -= self._marches.pop(next(iter(self._marches))).nbytes
 
 
 _kept_marches = _MarchStore()
@@ -388,6 +394,8 @@ class _DenseMarch:
         self.key = key
         size = num_rows * m * n * n
         self.buffer = np.empty(2 * size, dtype=np.complex128)
+        # what the store counts
+        self.nbytes = self.buffer.nbytes
         self.rhs = self.buffer[:size].reshape(num_rows, m * n, n)
         self.per_col = self.buffer[size:].reshape(num_rows, 1, n, m, n)
         self.coeffs = self.per_col.transpose(0, 1, 3, 4, 2).reshape(self.rhs.shape)
@@ -457,27 +465,31 @@ def _dense_propagate(a: np.ndarray, rows):
 
 
 def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> list:
-    """Where a pencil march's arrays start in its buffer, and the buffer's
-    size, in bytes: ``[state, u, rhs, a, inverses, size]``.
+    """Where a pencil march's arrays start in its buffer, the buffer's size
+    and the march's price, in bytes: ``[state, u, rhs, a, inverses, size, price]``.
 
     The buffer is laid out in cells of one complex n x n block rounded up to
     64 bytes, so that each array starts aligned: the ``num_blocks`` shifted
     blocks; per row its ``m + 1`` state blocks, u and the right-hand side;
     and ``p`` cells for ``a`` and ``p`` for each inverse, in real form when
-    ``p = 2``.  With at most ``num_rows m`` blocks a real-form march so takes
-    at most ``num_rows (4 m + 3) + 2`` cells, the price at which ``expm_each``
-    admits its rows.
+    ``p = 2``.  The price adds the arrays a march keeps outside its buffer,
+    at their largest: a right-aligned coupling matrix per row, ``p (m + 1)``
+    square at ``16 / p`` bytes an entry, and per block a shift and a row
+    index, 24 bytes.  ``expm_each`` admits rows at this price, with
+    ``num_rows m`` blocks, and a march counts at most its price (``nbytes``).
     """
     cell = -(-16 * n * n // 64) * 64
     cells = (num_blocks, num_rows * (m + 1), num_rows, num_rows, p, p * num_blocks)
     # each array ends where the next starts
-    return [cell * end for end in itertools.accumulate(cells)]
+    ends = [cell * end for end in itertools.accumulate(cells)]
+    return ends + [ends[-1] + 16 * p * num_rows * (m + 1) ** 2 + 24 * num_blocks]
 
 
 class _PencilMarch:
     """What a pencil march needs besides ``a`` and its element counts, for
-    rows of given basis counts at size n: its layout, the views of its buffer
-    and, per count of active rows, one element's bound calls (``bind``).
+    rows of given basis counts at size n: its layout, the views of its buffer,
+    the shifts and coupling rows sliced from its tables once, when it is
+    built, and, per count of active rows, one element's bound calls (``bind``).
 
     Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
     inverses, and its state at ``m``, where ``m`` is the first row's, largest,
@@ -492,47 +504,50 @@ class _PencilMarch:
         self.key, self.p = key, p
         dtype = np.float64 if p == 2 else np.complex128
         m = self.m = rows[0][1].m
-        # the first row's step rows in its own form; any other row is in real form
-        self.first_steps = rows[0][1].pencil_real_steps if p == 2 else step_rows(rows[0][1].pencil, 1)
-        # runs: consecutive rows of one basis count, as (start, stop, tables);
+        basis_counts = np.array([tables.m for _, tables in rows])
+        # step[r, k]: row r's basis step at position k, negative before it starts;
+        # order: the rows' steps in the order of the stack, position-major, row-minor
+        step = np.arange(m) - (m - basis_counts)[:, None]
+        order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
         # active[k]: how many rows reach back to position k, always the first ones;
         # offsets[k]: where the blocks of position k start in the stack of shifted
         # blocks and inverses, position by position, so that the rows active at
         # position k are the blocks from offsets[k] (numpy's inv takes about a
-        # tenth longer with a leading axis more); shifts: the -r[k, k] of each
-        # shifted block, and block_rows the row it belongs to, in the order of the stack
-        if len(rows) == 1:
-            self.runs, self.active, self.offsets = [(0, 1, rows[0][1])], [1] * m, range(m + 1)
-            self.shifts = rows[0][1].pencil_shifts
+        # tenth longer with a leading axis more)
+        self.active = (step >= 0).sum(0).tolist()
+        self.offsets = list(itertools.accumulate(self.active, initial=0))
+        # runs: consecutive rows of one basis count, as (start, stop, coupling
+        # matrix in the march's form); a run's rows all start at one position,
+        # so active takes each run's stop
+        stops = sorted(set(self.active))
+        self.runs = [(first, stop, rows[first][1].pencil_real if p == 2 else rows[first][1].pencil)
+                     for first, stop in zip([0] + stops, stops)]
+        # shifts: the -r[k, k] of each shifted block, and block_rows the row it
+        # belongs to, in the order of the stack
+        self.shifts = -np.concatenate([tables.pencil.diagonal()[:-1] for _, tables in rows])[order, None, None]
+        self.block_rows = np.repeat(np.arange(len(rows)), basis_counts)[order, None]
+        # the first row's coupling rows of each step
+        first_coupling = self.runs[0][2]
+        self.first_steps = [first_coupling[p * k:p * k + p, p * k + p:] for k in range(m)]
+        kept = [self.shifts, self.block_rows]
+        if len(self.runs) > 1:
+            # rows of several basis counts right-align their coupling matrices;
+            # each row reads only its own block
+            size = p * (m + 1)
+            self.coupling = np.empty((len(rows), size, size), dtype=dtype)
+            for first, stop, own in self.runs:
+                self.coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
+            kept.append(self.coupling)
         else:
-            basis_counts = np.array([tables.m for _, tables in rows])
-            # step[r, k]: row r's basis step at position k, negative before it starts;
-            # order: the rows' steps in the order of the stack, position-major, row-minor
-            step = np.arange(m) - (m - basis_counts)[:, None]
-            order = ((np.cumsum(basis_counts) - basis_counts)[:, None] + step).T[step.T >= 0]
-            self.active = (step >= 0).sum(0).tolist()
-            self.offsets = list(itertools.accumulate(self.active, initial=0))
-            # a run's rows all start at one position, so active takes each run's stop
-            stops = sorted(set(self.active))
-            self.runs = [(first, stop, rows[first][1]) for first, stop in zip([0] + stops, stops)]
-            self.shifts = np.concatenate([tables.pencil_shifts for _, tables in rows])[order]
-            self.block_rows = np.repeat(np.arange(len(rows)), basis_counts)[order, None]
-            if len(self.runs) > 1:
-                # rows of several basis counts right-align their coupling matrices;
-                # each row reads only its own block
-                size = p * (m + 1)
-                self.coupling = np.empty((len(rows), size, size), dtype=dtype)
-                for first, stop, tables in self.runs:
-                    own = tables.pencil_real
-                    self.coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
-            else:
-                # rows of one basis count share their coupling rows, which broadcast
-                # over however many rows are active
-                self.couples = [functools.partial(np.matmul, step) for step in self.first_steps[:m]]
+            # rows of one basis count share their coupling rows, which broadcast
+            # over however many rows are active
+            self.couples = [functools.partial(np.matmul, step) for step in self.first_steps]
         # the large arrays are views of one buffer (_pencil_layout)
         num_blocks, num_rows = self.offsets[-1], len(rows)
-        state_at, u_at, rhs_at, a_at, inverse_at, nbytes = _pencil_layout(n, p, m, num_rows, num_blocks)
+        state_at, u_at, rhs_at, a_at, inverse_at, nbytes, _ = _pencil_layout(n, p, m, num_rows, num_blocks)
         buffer = self.buffer = np.empty(nbytes, dtype=np.uint8)
+        # what the store counts: the buffer and every array kept outside it
+        self.nbytes = buffer.nbytes + sum(array.nbytes for array in kept)
         # shifted: the diagonal blocks of the triangularised system, one per
         # basis step and row, inverted as complex matrices
         self.shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
@@ -584,13 +599,13 @@ class _PencilMarch:
             steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
                           functools.partial(np.matmul, self.inverse[offset:offset + rows_k]),
                           row_blocks[:, k]))
-        active_runs = [(first, min(stop, num_active), tables)
-                       for first, stop, tables in self.runs if first < num_active]
+        active_runs = [(first, min(stop, num_active), coupling)
+                       for first, stop, coupling in self.runs if first < num_active]
         # the end rows differ in length between basis counts; one run is one call
         ends = []
-        for first, stop, tables in active_runs:
-            end_row = (first_steps if first == 0 else tables.pencil_real_steps)[tables.m]
-            tail = p * (m - tables.m)
+        for first, stop, coupling in active_runs:
+            end_row = coupling[-p:]
+            tail = p * (m + 1) - coupling.shape[0]
             if stop - first == 1:
                 ends.append((end_row.dot, state[first, tail:], u_rows[first]))
             else:

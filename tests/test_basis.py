@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from chebyshev_oracle import chebyshev_t, integrated_chebyshev
-from fetexpm.basis import build_tables, real_form, step_rows
+from fetexpm.basis import build_tables, real_form
 
 
 def quadrature_tables(m, num_nodes=64):
@@ -182,26 +182,6 @@ def test_real_form_multiplies_stacked_parts():
         v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         product = each @ np.concatenate((v.real, v.imag))
         np.testing.assert_allclose(product[:4] + 1j * product[4:], block @ v, rtol=0, atol=1e-14)
-
-
-def test_pencil_slices_are_cached_read_only_views():
-    # the shifts and step rows every pencil solve reads are the entries of the
-    # coupling matrices themselves: the shifts and real step rows sliced once
-    # per tables, the complex step rows by each march from COMPLEX_MIN_SIZE
-    for m in range(1, 41):
-        tables = build_tables(m)
-        assert_array_equal(tables.pencil_shifts[:, 0, 0], -tables.pencil.diagonal()[:m])
-        for p, coupling, steps in ((1, tables.pencil, step_rows(tables.pencil, 1)),
-                                   (2, tables.pencil_real, tables.pencil_real_steps)):
-            assert len(steps) == m + 1
-            for k, rows in enumerate(steps[:m]):
-                assert np.shares_memory(rows, coupling) and rows.shape == (p, p * (m - k))
-                assert_array_equal(rows, coupling[p * k:p * k + p, p * k + p:])
-            assert np.shares_memory(steps[m], coupling) and (steps[m] == coupling[p * m:]).all()
-            assert not any(rows.flags.writeable for rows in steps)
-        for cached in ("pencil_shifts", "pencil_real_steps"):
-            assert getattr(tables, cached) is getattr(tables, cached)
-        assert not tables.pencil_shifts.flags.writeable
 
 
 def test_pencil_real_form_is_the_pencil_in_two_by_two_blocks():

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from brute_force import brute_force_rhs, brute_force_system
 from matrix_distance import max_abs_diff
 from random_matrices import random_unit_disk
-from fetexpm import expm, expm_taylor_squaring, propagator
+from fetexpm import expm, expm_taylor_squaring, propagator, studies
 from fetexpm.basis import build_tables, real_form
 from fetexpm.matio import as_complex_matrix
 from fetexpm.oracles import exact_m1, m1, m2
@@ -547,6 +548,34 @@ def test_pencil_is_built_only_for_the_pencil_solve():
     assert build_tables(m).pencil is pencil
 
 
+def test_pencil_march_slices_its_coupling_matrix():
+    # the shifts and step rows every pencil solve reads are the entries of the
+    # coupling matrix in the march's own form, sliced once when the march is
+    # built: the real form below COMPLEX_MIN_SIZE (p = 2), the complex one from it
+    for n, p in ((COMPLEX_MIN_SIZE - 1, 2), (COMPLEX_MIN_SIZE, 1)):
+        for m in range(1, 41):
+            tables = build_tables(m)
+            coupling = tables.pencil_real if p == 2 else tables.pencil
+            march = propagator._PencilMarch(("test", n, m), n, p, [(1, tables)])
+            assert_array_equal(march.shifts[:, 0, 0], -tables.pencil.diagonal()[:m])
+            assert len(march.first_steps) == m
+            for k, rows in enumerate(march.first_steps):
+                assert np.shares_memory(rows, coupling) and rows.shape == (p, p * (m - k))
+                assert_array_equal(rows, coupling[p * k:p * k + p, p * k + p:])
+                assert not rows.flags.writeable
+            # a one-row march binds the dot methods of these rows and of its end rows
+            steps, ends, _, _ = march.bind(1)
+            assert all(step[0].__self__ is rows for step, rows in zip(steps, march.first_steps[::-1]))
+            (combine, _, _), = ends
+            assert np.shares_memory(combine.__self__, coupling) and not combine.__self__.flags.writeable
+            assert_array_equal(combine.__self__, coupling[p * m:])
+    # rows of several basis counts end on the end rows of their own coupling matrices
+    march = propagator._PencilMarch(("test", 5, 8, 5), 5, 2, [(1, build_tables(8)), (1, build_tables(5))])
+    for (combine, _, _), m in zip(march.bind(2)[1], (8, 5)):
+        assert np.shares_memory(combine.__self__, build_tables(m).pencil_real)
+        assert_array_equal(combine.__self__, build_tables(m).pencil_real[2 * m:])
+
+
 def test_pencil_overflowing_input_is_reported():
     # the shifted blocks stay finite; the first right-hand side overflows,
     # which the set-up check sees before the blocks are inverted
@@ -775,7 +804,8 @@ def one_expm(n, num_elements, num_basis):
 
 def three_rows(n, m):
     """A ``SPARE_BYTES`` that admits three real-form rows of basis count m at size n
-    to one march, priced as ``expm_each`` prices them."""
+    to one march, priced as ``expm_each`` prices them: the buffer and the arrays
+    kept outside it."""
     return propagator._pencil_layout(n, 2, m, 3, 3 * m)[-1]
 
 
@@ -860,10 +890,11 @@ def test_only_real_form_rows_share_a_chunk(monkeypatch, n):
 def test_expm_each_forms_the_pinned_marches(monkeypatch):
     # expm_each alone decides which rows march together: the dense solve
     # (n <= 2) marches one basis count; from n = 3 real-form rows march
-    # together while their element counts do not grow and the march's buffer
-    # fits in SPARE_BYTES, each row priced at 4 M + 3 cells of the march's
-    # first basis count M (36 rows of m = 8 at n = 16, 25 at n = 24, 7 of
-    # m = 16 at n = 32), and from n = 40 every row marches alone
+    # together while their element counts do not grow and the march fits in
+    # SPARE_BYTES, each row priced at 4 M + 3 cells of the march's first basis
+    # count M plus the arrays kept outside the buffer (36 rows of m = 8 at
+    # n = 16, 25 at n = 24, 7 of m = 16 at n = 32), and from n = 40 every row
+    # marches alone
     sizes = record_marches(monkeypatch, solve=False)
     elements = [(count, 8) for count in range(5, 41)]
     basis = [(8, m) for m in range(1, 41)]
@@ -874,7 +905,7 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
             (5, elements, [36]),
             (3, [(8, m) for m in range(5, 41)], [36]),
             (16, elements, [36]),
-            (16, basis, [12, 17, 11]),
+            (16, basis, [11, 16, 13]),
             (24, elements, [25, 11]),
             (32, [(count, 16) for count in range(5, 41)], [7] * 5 + [1]),
             (39, [(count, 2) for count in range(5, 41)], [31, 5]),
@@ -1025,8 +1056,8 @@ def assert_bitwise_equal(results, references):
 
 
 def assert_store_within_bound(store):
-    """The store's byte count is its buffers' total, at most ``SPARE_BYTES``."""
-    assert store.nbytes == sum(march.buffer.nbytes for march in store._marches.values())
+    """The store's byte count is its marches' total, at most ``SPARE_BYTES``."""
+    assert store.nbytes == sum(march.nbytes for march in store._marches.values())
     assert store.nbytes <= propagator.SPARE_BYTES
 
 
@@ -1162,6 +1193,62 @@ def test_kept_marches_stay_within_the_bound(monkeypatch):
             layouts.add(layout)
     # together the layouts run take more than SPARE_BYTES, so some were dropped
     assert len(kept_marches()) < len(layouts)
+
+
+def test_store_counts_what_its_marches_keep(monkeypatch):
+    # the store counts every array a kept march holds, its buffer and what it
+    # keeps outside it, such as the right-aligned coupling matrices of a basis
+    # sweep: after one sweep into an empty store, with its tables built before,
+    # the memory still allocated is within a tenth of the store's count
+    a = march_matrix(5)
+    rows = [(8, m) for m in range(5, 41)]
+    fresh_store(monkeypatch)
+    expm_each(a, rows)
+    store = fresh_store(monkeypatch)
+    tracemalloc.start()
+    try:
+        expm_each(a, rows)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (march,) = kept_marches()
+    assert march.nbytes > march.buffer.nbytes + march.coupling.nbytes
+    assert store.nbytes == march.nbytes <= retained <= 1.1 * store.nbytes
+
+
+def benchmark_op_kinds():
+    """One call of each op kind the benchmark times, at its sizes and counts:
+    expm at E = 8 on n = 32 and 64 (m = 8) and n = 32 (m = 16), expm at its
+    defaults on n = 2, 4 and 8, the three table1 studies and the element
+    and basis sweeps over 5..40 at n = 5 and 3."""
+    rng = np.random.default_rng(3600)
+    calls = [functools.partial(expm, random_unit_disk(rng, n), 8, m) for n, m in ((32, 8), (64, 8), (32, 16))]
+    calls += [functools.partial(expm, random_unit_disk(rng, n)) for n in (2, 4, 8)]
+    calls += [functools.partial(studies.table1, which) for which in studies.TABLE1_STEPS]
+    calls += [functools.partial(studies.sweep, random_unit_disk(rng, n), (0, 0), vary)
+              for n, vary in ((5, "elements"), (3, "basis"))]
+    return calls
+
+
+def test_second_pass_over_the_benchmark_builds_no_march(monkeypatch):
+    # a march is built once per layout, so only the first call of each op kind
+    # pays its set-up: a second pass over every kind finds every march kept
+    fresh_store(monkeypatch)
+    built = []
+    for name in ("_DenseMarch", "_PencilMarch"):
+        def building(*args, _name=name, _real=getattr(propagator, name)):
+            built.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(propagator, name, building)
+    calls = benchmark_op_kinds()
+    for call in calls:
+        call()
+    assert "_DenseMarch" in built and "_PencilMarch" in built
+    built.clear()
+    for call in calls:
+        call()
+    assert built == []
 
 
 def test_failed_march_gives_its_buffer_back(monkeypatch):
