@@ -17,17 +17,18 @@ or ``scale deriv X - overlap (a X) = load (a psi_prev)`` for the (m, n) stack
 count and then marches every element from ``psi(0) = I``:
 
 * ``n <= 2``, the dense solve: the (n m) x (n m) matrix is assembled once,
-  and each element solves it for all ``n`` columns with one LAPACK call.
-  Only the first element calls ``np.linalg.solve``, which raises
-  ``LinAlgError`` on an exactly singular system.  Each later element calls
-  the gufunc under that wrapper (``numpy.linalg._umath_linalg.solve``)
-  directly, without its type checks and ``errstate``.  It still runs
+  and each element solves it for all ``n`` columns with one LAPACK call, the
+  gufunc under ``np.linalg.solve`` (``numpy.linalg._umath_linalg.solve``)
+  bound without that wrapper's type checks.  Only the first element runs it
+  under the wrapper's ``errstate``, which raises ``LinAlgError`` on an
+  exactly singular system; each later element calls it bare.  It still runs
   LAPACK's ``zgesv``, which factors the system again, but the same matrix
   factors with the same pivots, so the first element's check carries over
   and the solution is the same array bit for bit.  At these sizes an element
   costs more in numpy calls than in arithmetic, so it makes as few as it
-  can: ``np.einsum``'s C function is bound without its Python wrapper, and
-  the solve writes straight into the layout that the end values sum over.
+  can: ``np.einsum``'s C function is bound without its Python wrapper, the
+  right-hand sides are written through views bound once, and the solve
+  writes straight into the layout that the end values sum over.
 * ``n >= 3``, the pencil solve: ``load`` is the first column of ``deriv``, so
   ``deriv^-1`` turns the system into ``scale X - T (a X) = e_0 (a psi_prev)``,
   ``T = deriv^-1 overlap``.  Its Schur form ``T = u r u^H`` makes it block
@@ -37,7 +38,10 @@ count and then marches every element from ``psi(0) = I``:
   end value is one more such combination.  All these combinations are rows of
   one coupling matrix ``[[r, load'], [end', 1]]`` (``BasisTables.pencil``).
   The shifted blocks are inverted once per march, so an element costs
-  O(m n^3), not O((n m)^3).
+  O(m n^3), not O((n m)^3), by the gufunc under ``np.linalg.inv``
+  (``numpy.linalg._umath_linalg.inv``) bound as the dense solve's kernel is,
+  under that wrapper's ``errstate`` so that an exactly singular block raises
+  ``LinAlgError``, and writing into the march's own memory.
 
 The switch sits at n = 3, and not for speed alone (ROADMAP has the
 timings).  The two solves agree to rounding, but at n = 2 the pencil solve
@@ -56,7 +60,9 @@ stacked ``[Re Y[k]; Im Y[k]]`` and each coupling entry a 2 x 2 real block
 (``BasisTables.pencil_real``).  That is the conventional complex product as
 four real ones, so it keeps its error bound, which the three-multiplication
 form does not (Higham, SIMAX 1992).  The shifted blocks are still inverted as
-complex matrices and only then embedded.  From n = 40 the same loop runs on
+complex matrices and only then embedded: ``a`` and the inverses are staged
+back to back as complex matrices, and one ``real_form`` call writes both
+into their real forms, also back to back.  From n = 40 the same loop runs on
 complex operands, although at E = 8 real forms take 0.84-0.98x their time
 up to n = 60; only from n = 64 do real forms take longer, 1.08x and more
 (``BENCH_32.json``).  The switch stays at 40 because moving it changes the
@@ -70,29 +76,30 @@ the number of rows.  So each march is kept between calls and looked up by
 its layout (``_MarchStore``).  A kept pencil march holds one flat byte
 buffer with views of the shifted blocks, the state with its u and
 right-hand-side buffers, ``a`` and the inverses (in real form below
-``COMPLEX_MIN_SIZE``); outside it, the shifts and coupling rows it sliced
-from its tables when it was built, with the right-aligned coupling matrices
-of rows of several basis counts; and one element's bound calls for each
-count of active rows it has run.  A kept dense march holds its
-right-hand-side and coefficient buffers, their views and the solve kernel.
-A repeat call at a layout it has run so skips the layout, the views and the
-binding, about 30 us at n = 3..8 and m = 8: a third of a call at E = 1 and
-a sixth at E = 8 (``BENCH_35.json``).  Its memory also stays with the process, where freed
-buffers went back to the kernel whenever glibc trimmed the heap and the next
-large call faulted them in again (``BENCH_31.json``).
-Each call still writes ``a``, the shifted blocks, their inverses, by
-``np.linalg.inv`` so that an exactly singular block raises, and the state.
-Three rules make the kept marches safe to share:
+``COMPLEX_MIN_SIZE``, staged as complex matrices in the state's region);
+outside it, the shifts and coupling rows it sliced from its tables when it
+was built, with the right-aligned coupling matrices of rows of several basis
+counts; the inverse kernel; and one element's bound calls for each count of
+active rows it has run.  A kept dense march holds one buffer for its
+right-hand sides, coefficients and systems, their views, the identity it
+starts from and the solve kernel.  A repeat call at a layout it has run so
+skips the layout, the views and the binding, about 30 us at n = 3..8 and
+m = 8: a third of a call at E = 1 and a sixth at E = 8 (``BENCH_35.json``).
+Its memory also stays with the process, where freed buffers went back to
+the kernel whenever glibc trimmed the heap and the next large call faulted
+them in again (``BENCH_31.json``).  Each call still writes ``a``, the
+shifted blocks, their inverses and the state, or the dense systems.  Three
+rules make the kept marches safe to share:
 
 * A march takes a kept march out of the store and gives it back however it
   ends, both under one lock, so no two live marches ever share one and
   ``expm`` stays reentrant and thread-safe.  The store keeps one march per
   layout.
 * The kept marches take at most ``SPARE_BYTES`` in all, counting every
-  array each one keeps: the least recently used marches are dropped first,
-  and a march that alone is larger is not kept, so one huge call pins no
-  memory once it returns.  No march of several rows takes more than
-  ``SPARE_BYTES`` (``expm_each``), so each one can be kept.
+  array each one keeps and the calls it binds: the least recently used
+  marches are dropped first, and a march that alone is larger is not kept,
+  so one huge call pins no memory once it returns.  No march of several rows
+  takes more than ``SPARE_BYTES`` (``expm_each``), so each one can be kept.
 * It is only memory: each march writes every array before reading it, the
   whole state included, and returns fresh arrays, so no result depends on
   what a kept march held.
@@ -129,16 +136,19 @@ them.
 
 import functools
 import itertools
+import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 # two numpy privates, each bound in one place, so pyproject.toml caps numpy at
 # the newest release the tests have checked them on (numpy 1.24 to 2.4):
-# the gufunc np.linalg.solve calls, which the dense march's later elements use,
-# and the C function np.einsum calls, which assemble_rhs uses.  numpy 2 moved
-# numpy.core to numpy._core and warns on any access to the old name
+# the module of the gufuncs np.linalg.solve and np.linalg.inv call, whose solve
+# kernel the dense march and whose inverse kernel the pencil march bind, and
+# the C function np.einsum calls, which assemble_rhs and the dense march use.
+# numpy 2 moved numpy.core to numpy._core and warns on any access to the old name
 from numpy.linalg import _umath_linalg
 
 try:
@@ -172,19 +182,50 @@ class ExpmReport:
     num_basis: int
 
 
-def assemble_system(a: np.ndarray, scale: float | np.ndarray, tables: BasisTables) -> np.ndarray:
+def _singular(err, flag):
+    """``np.errstate``'s call when a bound LAPACK kernel flags an exactly
+    singular matrix as invalid: raise as ``np.linalg.inv`` and ``solve`` do."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# the errstate np.linalg.inv and np.linalg.solve wrap their kernels in, for the
+# kernels bound without those wrappers
+_raising_singular = functools.partial(np.errstate, call=_singular, invalid="call", over="ignore",
+                                      divide="ignore", under="ignore")
+
+
+# as many as _cached_tables keeps tables; the dense solve asks for n = 1 and 2 only
+@functools.lru_cache(maxsize=64)
+def _system_operands(n: int, tables: BasisTables) -> tuple:
+    """``assemble_system``'s operands that depend on n and m alone: ``kron(deriv,
+    I_n)`` as an (m, n, m, n) array and ``overlap`` viewed to broadcast against it."""
+    kron_deriv = tables.deriv[:, None, :, None] * np.eye(n)[None, :, None, :]
+    kron_deriv.setflags(write=False)
+    return kron_deriv, tables.overlap[:, None, :, None]
+
+
+def assemble_system(a: np.ndarray, scale: float | np.ndarray, tables: BasisTables, out=None) -> np.ndarray:
     """The (n*m) x (n*m) block system ``scale kron(deriv, I_n) - kron(overlap, a)``,
     entry (mu', i), (mu, k) being ``scale deriv[mu', mu] (i == k) - overlap[mu', mu] a[i, k]``.
 
     A 1-D array of scales gives the (rows, n*m, n*m) stack of their systems,
-    each entry the same product as in the call with that scale alone.
+    each entry the same product as in the call with that scale alone.  An
+    off-diagonal zero of a block carries the sign of ``scale deriv[mu', mu]``.
+    ``out``, a C-contiguous complex array of the result's shape, receives the
+    same values and is returned.
     """
     n = a.shape[0]
     scale = np.asarray(scale)
-    eye = np.eye(n)
-    system = ((scale[..., None, None] * tables.deriv)[..., :, None, :, None] * eye[None, :, None, :]
-              - tables.overlap[:, None, :, None] * a[None, :, None, :])
-    return system.reshape(scale.shape + (n * tables.m, n * tables.m))
+    kron_deriv, overlap = _system_operands(n, tables)
+    if out is None:
+        out = np.empty(scale.shape + (n * tables.m, n * tables.m), dtype=np.complex128)
+    # scale (deriv[mu', mu] delta_ik) equals (scale deriv[mu', mu]) delta_ik bit
+    # for bit, signed zeros included, as multiplying by 1 is exact and a
+    # product's sign is its factors'
+    blocks = np.multiply(scale[..., None, None, None, None], kron_deriv,
+                         out=out.reshape(scale.shape + kron_deriv.shape))
+    np.subtract(blocks, overlap * a[None, :, None, :], out=blocks)
+    return out
 
 
 def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray, out=None) -> np.ndarray:
@@ -312,10 +353,13 @@ def _march(a: np.ndarray, rows) -> list:
     propagate = _pencil_propagate if a.shape[0] >= PENCIL_MIN_SIZE else _dense_propagate
     # no |overlap| entry exceeds overlap[0, 0] = 1.5 pi, at any basis count, and
     # no pencil |r[k, k]| exceeds 1.5 (both pinned by tests), so this check covers
-    # the dense system, the shifted blocks and the first element's right-hand sides
+    # the dense system, the shifted blocks and the first element's right-hand sides.
+    # a is finite (as_complex_matrix) and rounding is monotone, so 1.5 pi a is
+    # finite exactly when 1.5 pi times its largest real or imaginary part is
+    largest = np.abs(a.view(np.float64)).max()
+    if not math.isfinite(float(rows[0][1].overlap[0, 0]) * float(largest)):
+        raise OverflowError("block system overflowed to non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(rows[0][1].overlap[0, 0] * a).all():
-            raise OverflowError("block system overflowed to non-finite values")
         marched = propagate(a, rows)
     for psi in marched:
         if not np.isfinite(psi).all():
@@ -379,10 +423,34 @@ class _MarchStore:
 _kept_marches = _MarchStore()
 
 
+def _held_bytes(bound, shared) -> int:
+    """Bytes of the Python objects a march's ``bind`` made: those reachable from
+    ``bound`` through tuples, lists, partials and bound methods, each once,
+    except the march's own ``shared`` ones.  An array counts its object alone:
+    every one reached is a view, and numpy takes a view's shape and strides
+    from a cache of small allocations that it keeps anyway."""
+    seen, todo, total = {id(obj) for obj in shared}, [bound], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += np.ndarray.__basicsize__ if isinstance(obj, np.ndarray) else sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, functools.partial):
+            todo += [obj.args, obj.keywords]
+        elif hasattr(obj, "__self__"):
+            # a bound method, and the array it was bound to
+            todo.append(obj.__self__)
+    return total
+
+
 class _DenseMarch:
     """What a dense march over ``num_rows`` rows of basis count m at size n
     needs besides ``a`` and its element counts: one buffer for each element's
-    right-hand sides and coefficients, views of it, and the solve kernel.
+    right-hand sides and coefficients and for the systems, views of it,
+    ``load`` shaped to scale each right-hand side block, and the solve kernel.
 
     ``per_col`` holds the coefficients as (column, basis, row), one contiguous
     (m, n) block per column, evaluated at +1; the solve writes them through
@@ -390,27 +458,39 @@ class _DenseMarch:
     columns.
     """
 
-    def __init__(self, key, n, m, num_rows):
+    def __init__(self, key, n, tables, num_rows):
         self.key = key
+        m = tables.m
         size = num_rows * m * n * n
-        self.buffer = np.empty(2 * size, dtype=np.complex128)
-        # what the store counts
-        self.nbytes = self.buffer.nbytes
+        self.buffer = np.empty(2 * size + num_rows * (m * n) ** 2, dtype=np.complex128)
         self.rhs = self.buffer[:size].reshape(num_rows, m * n, n)
-        self.per_col = self.buffer[size:].reshape(num_rows, 1, n, m, n)
+        self.per_col = self.buffer[size:2 * size].reshape(num_rows, 1, n, m, n)
         self.coeffs = self.per_col.transpose(0, 1, 3, 4, 2).reshape(self.rhs.shape)
+        self.systems = self.buffer[2 * size:].reshape(num_rows, m * n, m * n)
+        self.load = tables.load[:, None, None]
+        self.identity = np.eye(n, dtype=np.complex128)[None, None]
+        self.identity.setflags(write=False)
         self.solve = functools.partial(_umath_linalg.solve, signature="DD->D")
+        # what the store counts; bind adds what it makes
+        self.nbytes = self.buffer.nbytes + self.identity.nbytes
         # bind's results by count of active rows
         self.bound = {}
 
     def bind(self, num_active):
-        """``(rhs, coeffs, per_col)`` of the first ``num_active`` rows, kept in
-        ``bound``; one row's are its 2-D views, as for a single count."""
+        """``(rhs, rhs_blocks, coeffs, per_col, systems)`` of the first
+        ``num_active`` rows, kept in ``bound``, ``rhs_blocks`` being ``rhs`` as
+        (basis, row, column) blocks; one row's are its own views, as for a
+        single count."""
+        m, n = self.load.shape[0], self.rhs.shape[-1]
         if num_active == 1:
-            bound = self.rhs[0], self.coeffs[0], self.per_col[0, 0]
+            rhs = self.rhs[0]
+            bound = rhs, rhs.reshape(m, n, n), self.coeffs[0], self.per_col[0, 0], self.systems[0]
         else:
-            bound = self.rhs[:num_active], self.coeffs[:num_active], self.per_col[:num_active]
+            rhs = self.rhs[:num_active]
+            bound = (rhs, rhs.reshape(num_active, m, n, n), self.coeffs[:num_active],
+                     self.per_col[:num_active], self.systems[:num_active])
         self.bound[num_active] = bound
+        self.nbytes += _held_bytes(bound, ())
         return bound
 
 
@@ -426,29 +506,31 @@ def _dense_propagate(a: np.ndarray, rows):
     n = a.shape[0]
     tables = rows[0][1]
     element_counts = [count for count, _ in rows]
-    # equal elements of width 1/E map onto [-1, 1] with scale 2E
-    systems = assemble_system(a, 2.0 * np.array(element_counts, dtype=float), tables)
-    # the identity broadcasts over the rows until the first element
-    psi = np.eye(n, dtype=np.complex128)[None, None]
     key = ("dense", n, tables.m, len(rows))
-    march = _kept_marches.take(key) or _DenseMarch(key, n, tables.m, len(rows))
+    march = _kept_marches.take(key) or _DenseMarch(key, n, tables, len(rows))
+    # the identity broadcasts over the rows until the first element
+    psi = march.identity
 
     def solve_checked(system, b, out):
-        out[...] = np.linalg.solve(system, b)
+        with _raising_singular():
+            march.solve(system, b, out=out)
 
     results = []
-    # the first element, where every row is active, solves through np.linalg.solve,
-    # which raises LinAlgError on an exactly singular system.  Each later element
-    # calls the kernel under that wrapper directly: it factors the same systems
-    # again, with the same pivots and so none of them zero, and returns bitwise the
-    # same solution, without the wrapper's type checks and errstate (half of each call)
+    # the first element, where every row is active, solves under np.linalg.solve's
+    # errstate, which raises LinAlgError on an exactly singular system.  Each later
+    # element calls the kernel bare: it factors the same systems again, with the
+    # same pivots and so none of them zero, and returns bitwise the same solution
     solve = solve_checked
     try:
+        # equal elements of width 1/E map onto [-1, 1] with scale 2E
+        assemble_system(a, 2.0 * np.array(element_counts, dtype=float), tables, out=march.systems)
         for rows, elements in _segments(element_counts):
-            rhs, coeffs, per_col = march.bound.get(rows) or march.bind(rows)
-            psi, system = (psi[0, 0], systems[0]) if rows == 1 else (psi[:rows], systems[:rows])
+            rhs, rhs_blocks, coeffs, per_col, system = march.bound.get(rows) or march.bind(rows)
+            psi = psi[0, 0] if rows == 1 else psi[:rows]
             for _ in range(elements):
-                solve(system, assemble_rhs(a, psi, tables.load, out=rhs), out=coeffs)
+                # assemble_rhs with its out view and load[:, None, None] bound
+                np.multiply(march.load, c_einsum("ik,...kj->...ij", a, psi), out=rhs_blocks)
+                solve(system, rhs, out=coeffs)
                 solve = march.solve
                 # this summation order is pinned: the flat sum end_vals @ coeffs.reshape(m, n * n)
                 # changes at least one bit for 45% of random n <= 2 coefficients (m = 1..40),
@@ -466,23 +548,34 @@ def _dense_propagate(a: np.ndarray, rows):
 
 def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> list:
     """Where a pencil march's arrays start in its buffer, the buffer's size
-    and the march's price, in bytes: ``[state, u, rhs, a, inverses, size, price]``.
+    and the march's price, in bytes: ``[state, u, rhs, forms, size, price]``.
 
-    The buffer is laid out in cells of one complex n x n block rounded up to
-    64 bytes, so that each array starts aligned: the ``num_blocks`` shifted
-    blocks; per row its ``m + 1`` state blocks, u and the right-hand side;
-    and ``p`` cells for ``a`` and ``p`` for each inverse, in real form when
-    ``p = 2``.  The price adds the arrays a march keeps outside its buffer,
-    at their largest: a right-aligned coupling matrix per row, ``p (m + 1)``
-    square at ``16 / p`` bytes an entry, and per block a shift and a row
-    index, 24 bytes.  ``expm_each`` admits rows at this price, with
-    ``num_rows m`` blocks, and a march counts at most its price (``nbytes``).
+    The buffer holds, each array starting on 64 bytes: the ``num_blocks``
+    complex n x n shifted blocks; per row its ``m + 1`` state blocks, u and
+    the right-hand side; and ``forms``, ``a`` and then the inverses back to
+    back in the march's form (for ``p = 2`` real forms, of four times the
+    entries at half the bytes each).  For ``p = 2`` the same as complex
+    matrices, from which one ``real_form`` call writes ``forms``, are staged
+    in the state's region: its ``num_rows (m + 1)`` blocks hold the
+    ``num_blocks + 1``, as no row has more than ``m`` basis steps, and each
+    call sets the state only after it has read the stage.  The price adds the
+    arrays a march keeps outside its buffer, at their largest: a right-aligned
+    coupling matrix per row, ``p (m + 1)`` square at ``16 / p`` bytes an
+    entry, and per block a shift and a row index, 24 bytes; and the most its
+    bound calls can take (``_PencilMarch.bind``).  ``expm_each`` admits rows at
+    this price, with ``num_rows m`` blocks, and a march counts at most its
+    price (``nbytes``).
     """
-    cell = -(-16 * n * n // 64) * 64
-    cells = (num_blocks, num_rows * (m + 1), num_rows, num_rows, p, p * num_blocks)
+    block = 16 * n * n
+    sizes = (num_blocks, num_rows * (m + 1), num_rows, num_rows, p * (num_blocks + 1))
     # each array ends where the next starts
-    ends = [cell * end for end in itertools.accumulate(cells)]
-    return ends + [ends[-1] + 16 * p * num_rows * (m + 1) ** 2 + 24 * num_blocks]
+    ends = list(itertools.accumulate(-(-block * size // 64) * 64 for size in sizes))
+    # bind makes one set per count of active rows, at most num_rows: m steps, an
+    # end per run of one basis count, so at most k for k active rows, and the
+    # set itself, each priced at 1 KiB.  The most measured is 0.8 KiB on
+    # average, for a basis sweep bound at every count (_held_bytes, CPython 3.11)
+    bound = 1024 * (num_rows * m + num_rows * (num_rows + 1) // 2 + num_rows)
+    return ends + [ends[-1] + 16 * p * num_rows * (m + 1) ** 2 + 24 * num_blocks + bound]
 
 
 class _PencilMarch:
@@ -538,15 +631,17 @@ class _PencilMarch:
             for first, stop, own in self.runs:
                 self.coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
             kept.append(self.coupling)
+            self.couples = []
         else:
             # rows of one basis count share their coupling rows, which broadcast
             # over however many rows are active
             self.couples = [functools.partial(np.matmul, step) for step in self.first_steps]
         # the large arrays are views of one buffer (_pencil_layout)
         num_blocks, num_rows = self.offsets[-1], len(rows)
-        state_at, u_at, rhs_at, a_at, inverse_at, nbytes, _ = _pencil_layout(n, p, m, num_rows, num_blocks)
+        state_at, u_at, rhs_at, forms_at, nbytes, _ = _pencil_layout(n, p, m, num_rows, num_blocks)
         buffer = self.buffer = np.empty(nbytes, dtype=np.uint8)
-        # what the store counts: the buffer and every array kept outside it
+        # what the store counts: the buffer and every array kept outside it; bind
+        # adds what it makes
         self.nbytes = buffer.nbytes + sum(array.nbytes for array in kept)
         # shifted: the diagonal blocks of the triangularised system, one per
         # basis step and row, inverted as complex matrices
@@ -557,8 +652,15 @@ class _PencilMarch:
         self.psi_diagonal = self.state[:, p * m, ::n + 1]
         self.u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
         self.rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
-        self.a_form = np.ndarray((p * n, p * n), dtype, buffer, a_at)
-        self.inverse = np.ndarray((num_blocks, p * n, p * n), dtype, buffer, inverse_at)
+        # a and the inverses in the march's form, back to back
+        self.forms = np.ndarray((num_blocks + 1, p * n, p * n), dtype, buffer, forms_at)
+        self.a_form, self.inverse = self.forms[0], self.forms[1:]
+        # where each call writes a and the inverse kernel the inverses: for real
+        # forms a complex stage of the same layout in the state's region, which
+        # one real_form call embeds into forms, and for complex operands forms itself
+        self.stage = self.forms if p == 1 else np.ndarray((num_blocks + 1, n, n), np.complex128, buffer, state_at)
+        self.staged_inverse = self.stage[1:]
+        self.invert = functools.partial(_umath_linalg.inv, signature="D->D")
         self.blocks = self.state.reshape(num_rows, m + 1, p * n, n)
         self.u_blocks = self.u_rows.reshape(num_rows, p * n, n)
         # bind's results by count of active rows
@@ -612,6 +714,7 @@ class _PencilMarch:
                 ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
                              u_rows[first:stop]))
         bound = self.bound[num_active] = steps, ends, state[:num_active, p * m:], u_rows[:num_active]
+        self.nbytes += _held_bytes(bound, [self.a_form, *self.first_steps, *self.couples])
         return bound
 
 
@@ -640,15 +743,14 @@ def _pencil_propagate(a: np.ndarray, rows):
         else:
             scales = np.array([2.0 * count for count, _ in rows])[march.block_rows]
         np.add(march.diagonals, scales, out=march.diagonals)
-        inverse = np.linalg.inv(march.shifted)
+        # the bound calls read a and the inverses from the march's own memory
+        march.stage[0] = a
+        with _raising_singular():
+            march.invert(march.shifted, out=march.staged_inverse)
         if p == 2:
-            real_form(a, out=march.a_form)
-            real_form(inverse, out=march.inverse)
-        else:
-            # bound calls read a and the inverses from the march's own memory
-            march.a_form[...] = a
-            march.inverse[...] = inverse
-        # the buffer holds whatever its last march left, so the whole state is set, psi = I
+            real_form(march.stage, out=march.forms)
+        # the buffer holds whatever its last march left, and the stage shares the
+        # state's region, so the whole state is set, psi = I
         march.state.fill(0.0)
         march.psi_diagonal.fill(1.0)
         finished = []

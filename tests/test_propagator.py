@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -86,6 +87,34 @@ def test_stacked_systems_match_one_call_per_scale_bitwise():
                 assert stacked.shape == (len(scales), n * m, n * m)
                 for scale, system in zip(scales, stacked):
                     assert system.tobytes() == assemble_system(a, scale, tables).tobytes()
+
+
+def test_system_written_into_a_buffer_keeps_every_bit():
+    # assemble_system scales a cached kron(deriv, I_n) and writes into a given
+    # buffer; both keep every bit of the broadcast product (scale deriv) delta_ik
+    # minus overlap a, signed zeros included: an off-diagonal zero of a block
+    # carries the sign of scale deriv[mu', mu], and a's zeros their own
+    rng = np.random.default_rng(37)
+    negative_zeros = 0
+    for n in (1, 2, 3):
+        for m in (1, 2, 5, 8, 13):
+            tables = build_tables(m)
+            a = random_unit_disk(rng, n)
+            a.real[0] = -0.0
+            a.imag[-1, 0] = 0.0
+            for scales in (16.0, np.array([16.0]), np.array([116.0, 16.0, 2.0])):
+                scale = np.asarray(scales)
+                eye = np.eye(n)
+                expected = ((scale[..., None, None] * tables.deriv)[..., :, None, :, None] * eye[None, :, None, :]
+                            - tables.overlap[:, None, :, None] * a[None, :, None, :])
+                expected = expected.reshape(scale.shape + (n * m, n * m))
+                parts = expected.view(np.float64)
+                negative_zeros += np.signbit(parts[parts == 0.0]).sum()
+                assert assemble_system(a, scales, tables).tobytes() == expected.tobytes()
+                buf = np.full(expected.shape, np.nan, dtype=complex)
+                assert assemble_system(a, scales, tables, out=buf) is buf
+                assert buf.tobytes() == expected.tobytes()
+    assert negative_zeros > 0
 
 
 def test_rhs_written_into_a_buffer_matches_the_allocating_call_bitwise():
@@ -487,7 +516,8 @@ def test_real_forms_above_the_switch_agree_with_complex_operands(monkeypatch, n)
     for (kind, num_elements, m), reference in zip(cases, complex_results):
         embedded.clear()
         result = expm(inputs[kind], num_elements, m).result
-        assert embedded == [(n, n), (m, n, n)]
+        # a and the m inverses, staged back to back and embedded in one call
+        assert embedded == [(m + 1, n, n)]
         err = max_abs_diff(result, reference)
         assert err <= 1e-14 * np.max(np.abs(reference)), (kind, num_elements, m, err)
 
@@ -495,7 +525,8 @@ def test_real_forms_above_the_switch_agree_with_complex_operands(monkeypatch, n)
 @pytest.mark.parametrize("n", [COMPLEX_MIN_SIZE - 1, COMPLEX_MIN_SIZE])
 def test_pencil_solve_binds_real_forms_below_the_switch(monkeypatch, n):
     # the operand choice is made once, at set-up, from n alone: below the
-    # switch a and the stacked inverses are embedded, from it nothing is
+    # switch a and the stacked inverses are embedded, in one call on a stage
+    # that holds a and then the inverses, from it nothing is
     embedded = []
 
     def counting(z, **kwargs):
@@ -504,7 +535,7 @@ def test_pencil_solve_binds_real_forms_below_the_switch(monkeypatch, n):
 
     monkeypatch.setattr("fetexpm.propagator.real_form", counting)
     expm(np.eye(n) / 4.0, 3, 5)
-    assert embedded == ([(n, n), (5, n, n)] if n < COMPLEX_MIN_SIZE else [])
+    assert embedded == ([(6, n, n)] if n < COMPLEX_MIN_SIZE else [])
 
 
 def test_pencil_solve_matches_scipy_expm():
@@ -524,9 +555,9 @@ def test_pencil_solve_matches_scipy_expm():
 def test_solve_switches_to_the_pencil_at_three(monkeypatch):
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return assemble_system(*args)
+        return assemble_system(*args, **kwargs)
 
     monkeypatch.setattr("fetexpm.propagator.assemble_system", counting)
     assert PENCIL_MIN_SIZE == 3
@@ -594,11 +625,13 @@ def test_overlap_peaks_at_its_first_entry():
 
 @pytest.mark.parametrize("unit", [1.0, 1j])
 def test_set_up_check_stops_overflow_before_either_solve(monkeypatch, unit):
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise RuntimeError("reached the solve")
 
+    # the dense march assembles its systems, and the pencil march calls its
+    # bound inverse kernel, first thing after its set-up check
     monkeypatch.setattr("fetexpm.propagator.assemble_system", failing)
-    monkeypatch.setattr(np.linalg, "inv", failing)
+    bind_kernels(monkeypatch, inv=failing)
     # Python floats, which overflow to inf without a warning
     finfo = np.finfo(np.float64)
     limit = float(finfo.max) / (1.5 * math.pi)
@@ -662,20 +695,22 @@ def test_pencil_solve_factors_once_per_call(monkeypatch):
     # the shifted blocks are the same on every element, so the number of
     # factorizations does not grow with the element count
     a = spectral_scaled(np.random.default_rng(17), 16, 1.0)
-    expm(a, 1)  # builds the pencil of the default basis count
     calls = []
+    kernels = {}
     for name in ("solve", "inv"):
-        def counting(*args, _real=getattr(np.linalg, name), **kwargs):
+        def counting(*args, _real=getattr(propagator._umath_linalg, name), **kwargs):
             calls.append(1)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        kernels[name] = counting
+    bind_kernels(monkeypatch, **kernels)
+    expm(a, 1)  # builds the march, which binds the counting kernels
     counts = []
     for num_elements in (1, 8):
         calls.clear()
         expm(a, num_elements)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] == 1
 
 
 def test_dense_march_kernel_matches_linalg_solve_bitwise():
@@ -698,6 +733,22 @@ def test_dense_march_kernel_matches_linalg_solve_bitwise():
                 solved = kernel(system, rhs)
                 assert solved.dtype == expected.dtype and solved.shape == expected.shape
                 assert solved.tobytes() == expected.tobytes(), f"N={size} stack={stack} k={columns}"
+
+
+def test_pencil_inverse_kernel_matches_linalg_inv_bitwise():
+    # the pencil march inverts its shifted blocks with the gufunc under
+    # np.linalg.inv, a numpy private, bound as below and writing into a given
+    # array; it must give the public call's array bit for bit, on this numpy and
+    # on the oldest one CI installs, so a numpy that renames or changes it fails here
+    kernel = functools.partial(propagator._umath_linalg.inv, signature="D->D")
+    rng = np.random.default_rng(37)
+    for size in (1, 3, 4, 8, 39, 40, 64):
+        for stack in ((), (1,), (9,)):
+            blocks = rng.standard_normal((*stack, size, size)) + 1j * rng.standard_normal((*stack, size, size))
+            expected = np.linalg.inv(blocks)
+            out = np.empty_like(blocks)
+            assert kernel(blocks, out=out) is out
+            assert out.tobytes() == expected.tobytes(), f"N={size} stack={stack}"
 
 
 def test_bound_einsum_matches_np_einsum_bitwise():
@@ -732,36 +783,42 @@ def record_marches(monkeypatch, solve=True):
 
 
 def test_dense_march_calls_linalg_solve_once(monkeypatch):
-    # the first element of a dense march goes through np.linalg.solve, which
-    # raises on a singular system, and every later one calls its kernel: one
-    # public call per march, whatever its element count.  A march also
-    # assembles the systems of all its rows in one call
-    calls, assembled = [], []
+    # the first element of a dense march calls the solve kernel under
+    # np.linalg.solve's errstate, which raises on a singular system, and every
+    # later one calls it bare: one checked solve per march, whatever its element
+    # count.  A march also assembles the systems of all its rows in one call
+    checked, solves, assembled = [], [], []
 
-    def counting(*args, _real=np.linalg.solve, **kwargs):
-        calls.append(1)
+    def counting_errstate(_real=propagator._raising_singular):
+        checked.append(1)
+        return _real()
+
+    def counting_solve(*args, _real=propagator._umath_linalg.solve, **kwargs):
+        solves.append(1)
         return _real(*args, **kwargs)
 
-    def counting_assembly(*args):
+    def counting_assembly(*args, **kwargs):
         assembled.append(1)
-        return assemble_system(*args)
+        return assemble_system(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(propagator, "_raising_singular", counting_errstate)
     monkeypatch.setattr("fetexpm.propagator.assemble_system", counting_assembly)
+    bind_kernels(monkeypatch, solve=counting_solve)
     marches = record_marches(monkeypatch)
     for num_elements in (1, 8, 58):
-        calls.clear()
+        checked.clear()
+        solves.clear()
         assembled.clear()
         expm(m1(), num_elements)
-        assert len(calls) == 1 and len(assembled) == 1
+        assert len(checked) == 1 and len(assembled) == 1 and len(solves) == num_elements
     # one march over element counts, then one march per basis count
     for rows, num_marches in (([(count, 8) for count in range(5, 41)], 1),
                               ([(3, 5), (8, 5), (1, 7), (8, 7), (2, 9)], 3)):
-        calls.clear()
+        checked.clear()
         marches.clear()
         assembled.clear()
         expm_each(m1(), rows)
-        assert len(marches) == len(calls) == len(assembled) == num_marches
+        assert len(marches) == len(checked) == len(assembled) == num_marches
 
 
 @pytest.mark.parametrize("num_elements", [8, 16, 58])
@@ -777,11 +834,17 @@ def test_pencil_solve_keeps_the_stiff_block_accurate(num_elements):
             assert max_abs_diff(result, exact) <= 1e-14 * np.max(np.abs(exact))
 
 
+def overflowing_inverse(blocks, out, **kwargs):
+    """An inverse kernel whose every inverse overflowed."""
+    out[...] = np.inf
+    return out
+
+
 def test_pencil_overflowing_inverse_is_reported(monkeypatch):
     # no finite input is known whose shifted blocks stay finite while their
-    # inverses overflow, so the inversion is made to overflow; the non-finite
-    # inverse reaches the state, which the element loop checks
-    monkeypatch.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
+    # inverses overflow, so the bound inverse kernel is made to overflow; the
+    # non-finite inverse reaches the state, which the element loop checks
+    bind_kernels(monkeypatch, inv=overflowing_inverse)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="solution"):
@@ -891,10 +954,10 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
     # expm_each alone decides which rows march together: the dense solve
     # (n <= 2) marches one basis count; from n = 3 real-form rows march
     # together while their element counts do not grow and the march fits in
-    # SPARE_BYTES, each row priced at 4 M + 3 cells of the march's first basis
-    # count M plus the arrays kept outside the buffer (36 rows of m = 8 at
-    # n = 16, 25 at n = 24, 7 of m = 16 at n = 32), and from n = 40 every row
-    # marches alone
+    # SPARE_BYTES, each row priced at 4 M + 3 complex n x n blocks of the
+    # march's first basis count M, the arrays kept outside the buffer and the
+    # most its bound calls take (36 rows of m = 8 at n = 16, 24 at n = 24, 7 of
+    # m = 16 at n = 32), and from n = 40 every row marches alone
     sizes = record_marches(monkeypatch, solve=False)
     elements = [(count, 8) for count in range(5, 41)]
     basis = [(8, m) for m in range(1, 41)]
@@ -905,10 +968,10 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
             (5, elements, [36]),
             (3, [(8, m) for m in range(5, 41)], [36]),
             (16, elements, [36]),
-            (16, basis, [11, 16, 13]),
-            (24, elements, [25, 11]),
+            (16, basis, [10, 14, 16]),
+            (24, elements, [24, 12]),
             (32, [(count, 16) for count in range(5, 41)], [7] * 5 + [1]),
-            (39, [(count, 2) for count in range(5, 41)], [31, 5]),
+            (39, [(count, 2) for count in range(5, 41)], [29, 7]),
             (39, basis[:12], [6, 6]),
             (40, [(count, 2) for count in range(5, 41)], [1] * 36),
             (40, basis[:12], [1] * 12),
@@ -950,11 +1013,11 @@ def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise RuntimeError("reached the solve")
 
     monkeypatch.setattr("fetexpm.propagator.assemble_system", failing)
-    monkeypatch.setattr(np.linalg, "inv", failing)
+    bind_kernels(monkeypatch, inv=failing, solve=failing)
     for size in (2, 3):
         for bad in ([(3, 8), (0, 8)], [(0, 8)], [(5, 8), (-1, 8), (2, 8)], [(3, 8), (3, 0)], [(3, -2)]):
             with pytest.raises(ValueError, match=">= 1"):
@@ -1017,11 +1080,101 @@ def test_stacked_march_raises_on_a_singular_row(monkeypatch):
     assert sizes == [3, 1]
 
 
+def test_singular_block_raises_through_each_bound_kernel(monkeypatch):
+    # each bound kernel runs under np.linalg's errstate, scoped to its call: an
+    # exactly singular system or shifted block (E = 3, m = 1 puts 4 I on a pole)
+    # raises LinAlgError from the dense march's first solve and the pencil's
+    # inversion, for single rows, stacked rows and complex operands, without
+    # np.linalg.solve or np.linalg.inv, and leaves the caller's error state as it was
+    def public(*args, **kwargs):
+        raise AssertionError("reached np.linalg")
+
+    def callers_call(err, flag):
+        raise AssertionError("the caller's error call ran")
+
+    monkeypatch.setattr(np.linalg, "solve", public)
+    monkeypatch.setattr(np.linalg, "inv", public)
+    fresh_store(monkeypatch)
+    marches = record_marches(monkeypatch)
+    with np.errstate(divide="ignore", over="raise", under="warn", invalid="print", call=callers_call):
+        state = np.geterr(), np.geterrcall()
+        # the rows of the singular row's march: the dense solve marches one basis
+        # count, real forms stack both counts and complex rows march alone
+        for size, march_rows in ((1, (1, 3, 1)), (2, (1, 3, 1)), (3, (1, 3, 3)), (5, (1, 3, 3)),
+                                 (COMPLEX_MIN_SIZE, (1, 1, 1))):
+            for rows, num_rows in zip(([(3, 1)], [(4, 1), (3, 1), (1, 1)], [(3, 5), (3, 1), (3, 8)]), march_rows):
+                marches.clear()
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    expm_each(4.0 * np.eye(size), rows)
+                assert np.geterr() == state[0] and np.geterrcall() is state[1]
+                assert marches[-1] == num_rows, (size, rows)
+
+
+def byte_span(view, buffer):
+    """The bytes of ``buffer`` that ``view``, an array of positive strides, covers."""
+    start = view.ctypes.data - buffer.ctypes.data
+    return start, start + sum((length - 1) * stride for length, stride in zip(view.shape, view.strides)) + view.itemsize
+
+
+def test_pencil_layout_carves_each_array_inside_its_own_region():
+    # the regions of _pencil_layout follow each other; each view a march carves
+    # lies inside its own one; a and the inverses, and their complex stage, are
+    # the back-to-back runs that one real_form call writes; and after binding
+    # every count of active rows a march counts no more than its price
+    rng = np.random.default_rng(3700)
+    layouts = ([(1, 8)], [(count, 5) for count in range(9, 0, -1)], [(3, m) for m in range(9, 0, -1)],
+               [(count, count) for count in range(9, 0, -1)])
+    for n, p, rows in itertools.product(range(1, 10), (1, 2), layouts):
+        rows = [(count, build_tables(m)) for count, m in rows]
+        march = propagator._PencilMarch(("test",), n, p, rows)
+        m, num_blocks = rows[0][1].m, sum(tables.m for _, tables in rows)
+        *starts, size, price = propagator._pencil_layout(n, p, m, len(rows), num_blocks)
+        bounds = [0, *starts, size]
+        assert all(start % 64 == 0 for start in starts) and bounds == sorted(bounds)
+        assert march.buffer.nbytes == size
+        region = dict(zip(("shifted", "state", "u", "rhs", "forms"), zip(bounds, bounds[1:])))
+        views = {"shifted": [march.shifted, march.diagonals],
+                 "state": [march.state, march.psi_diagonal, march.blocks],
+                 "u": [march.u_rows, march.u_blocks], "rhs": [march.rhs],
+                 "forms": [march.forms, march.a_form, march.inverse]}
+        # real forms stage a and the inverses in the state's region, which each
+        # call sets only after reading the stage
+        views["state" if p == 2 else "forms"] += [march.stage, march.staged_inverse]
+        for name, arrays in views.items():
+            for view in arrays:
+                low, high = byte_span(view, march.buffer)
+                assert region[name][0] <= low < high <= region[name][1], (n, p, name)
+        for stacked, first, rest in ((march.forms, march.a_form, march.inverse),
+                                     (march.stage, march.stage[0], march.staged_inverse)):
+            assert stacked.flags.c_contiguous and stacked.shape[0] == num_blocks + 1
+            assert first.ctypes.data == stacked.ctypes.data
+            assert rest.ctypes.data == stacked.ctypes.data + first.nbytes and rest.flags.c_contiguous
+        if p == 2:
+            march.stage[...] = rng.standard_normal(march.stage.shape) + 1j * rng.standard_normal(march.stage.shape)
+            real_form(march.stage, out=march.forms)
+            assert_array_equal(march.a_form, real_form(march.stage[0]))
+            assert_array_equal(march.inverse, real_form(march.staged_inverse))
+        for num_active in range(1, len(rows) + 1):
+            march.bind(num_active)
+        assert march.nbytes <= price, (n, p, [tables.m for _, tables in rows])
+        # expm_each prices a march with every row at its first basis count
+        assert price <= propagator._pencil_layout(n, p, m, len(rows), len(rows) * m)[-1]
+
+
 def fresh_store(monkeypatch):
     """An empty store of kept marches in place of the module's, for this test."""
     store = propagator._MarchStore()
     monkeypatch.setattr(propagator, "_kept_marches", store)
     return store
+
+
+def bind_kernels(monkeypatch, **kernels):
+    """An empty store, so that each march is built anew, for this test, and
+    binds the LAPACK kernels given by name (``inv``, ``solve``) in place of
+    numpy's."""
+    module = {"inv": propagator._umath_linalg.inv, "solve": propagator._umath_linalg.solve, **kernels}
+    monkeypatch.setattr(propagator, "_umath_linalg", types.SimpleNamespace(**module))
+    return fresh_store(monkeypatch)
 
 
 def kept_marches():
@@ -1106,22 +1259,23 @@ def test_alternating_sizes_hold_no_state(monkeypatch):
 
 
 def test_consecutive_calls_march_in_one_kept_buffer(monkeypatch):
-    store = fresh_store(monkeypatch)
     marched_in = []
 
-    def inverting(blocks, _real=np.linalg.inv):
-        marched_in.append(blocks)
-        return _real(blocks)
+    def inverting(blocks, out, _real=propagator._umath_linalg.inv, **kwargs):
+        marched_in.append((blocks, out))
+        return _real(blocks, out=out, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "inv", inverting)
+    store = bind_kernels(monkeypatch, inv=inverting)
     a = march_matrix(32)
     expm(a)
     (kept,) = kept_marches()
     address = kept.buffer.ctypes.data
     expm(a)
     assert kept_marches() == [kept] and kept.buffer.ctypes.data == address
-    # both calls carved their shifted blocks from it
-    assert len(marched_in) == 2 and all(np.shares_memory(blocks, kept.buffer) for blocks in marched_in)
+    # both calls carved from it their shifted blocks and the stage the
+    # inverses are written to
+    assert len(marched_in) == 2
+    assert all(np.shares_memory(array, kept.buffer) for pair in marched_in for array in pair)
     # with a cap below one march's buffer, nothing is kept
     monkeypatch.setattr(propagator, "SPARE_BYTES", kept.buffer.nbytes - 1)
     store = fresh_store(monkeypatch)
@@ -1198,22 +1352,25 @@ def test_kept_marches_stay_within_the_bound(monkeypatch):
 def test_store_counts_what_its_marches_keep(monkeypatch):
     # the store counts every array a kept march holds, its buffer and what it
     # keeps outside it, such as the right-aligned coupling matrices of a basis
-    # sweep: after one sweep into an empty store, with its tables built before,
-    # the memory still allocated is within a tenth of the store's count
+    # sweep, and the calls bind makes, one set per count of active rows of an
+    # element sweep: after one sweep into an empty store, with its tables built
+    # before, the memory still allocated is within a tenth of the store's count
     a = march_matrix(5)
-    rows = [(8, m) for m in range(5, 41)]
-    fresh_store(monkeypatch)
-    expm_each(a, rows)
-    store = fresh_store(monkeypatch)
-    tracemalloc.start()
-    try:
+    for rows in ([(8, m) for m in range(5, 41)], [(count, 8) for count in range(5, 41)]):
+        fresh_store(monkeypatch)
         expm_each(a, rows)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    (march,) = kept_marches()
-    assert march.nbytes > march.buffer.nbytes + march.coupling.nbytes
-    assert store.nbytes == march.nbytes <= retained <= 1.1 * store.nbytes
+        store = fresh_store(monkeypatch)
+        tracemalloc.start()
+        try:
+            expm_each(a, rows)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        (march,) = kept_marches()
+        outside = [march.shifts, march.block_rows, *([march.coupling] if len(march.runs) > 1 else [])]
+        assert len(march.bound) == len(set(count for count, _ in rows))
+        assert march.nbytes > march.buffer.nbytes + sum(array.nbytes for array in outside)
+        assert store.nbytes == march.nbytes <= retained <= 1.1 * store.nbytes, rows
 
 
 def benchmark_op_kinds():
@@ -1267,7 +1424,7 @@ def test_failed_march_gives_its_buffer_back(monkeypatch):
     # the forced infinite inverse of test_pencil_overflowing_inverse_is_reported,
     # at the same layout as a's march, which it takes and gives back
     with monkeypatch.context() as patched:
-        patched.setattr(np.linalg, "inv", lambda blocks: np.full_like(blocks, np.inf))
+        patched.setattr(kept, "invert", overflowing_inverse)
         with pytest.raises(OverflowError, match="solution"):
             expm(np.eye(16) / 4.0)
     assert len(kept_marches()) == 3 and kept_marches()[-1] is kept
