@@ -73,23 +73,23 @@ A march's arrays and bound calls depend on its layout alone, not on ``a``
 or the element counts: for the pencil solve the size, the operand form and
 the rows' basis counts, for the dense solve the size, the basis count and
 the number of rows.  So each march is kept between calls and looked up by
-its layout (``_MarchStore``).  A kept pencil march holds one flat byte
-buffer with views of the shifted blocks, the state with its u and
-right-hand-side buffers, ``a`` and the inverses (in real form below
-``COMPLEX_MIN_SIZE``, staged as complex matrices in the state's region);
-outside it, the shifts and coupling rows it sliced from its tables when it
-was built, with the right-aligned coupling matrices of rows of several basis
-counts; the inverse kernel; and one element's bound calls for each count of
-active rows it has run.  A kept dense march holds one buffer for its
-right-hand sides, coefficients and systems, their views, the identity it
-starts from and the solve kernel.  A repeat call at a layout it has run so
-skips the layout, the views and the binding, about 30 us at n = 3..8 and
-m = 8: a third of a call at E = 1 and a sixth at E = 8 (``BENCH_35.json``).
-Its memory also stays with the process, where freed buffers went back to
-the kernel whenever glibc trimmed the heap and the next large call faulted
-them in again (``BENCH_31.json``).  Each call still writes ``a``, the
-shifted blocks, their inverses and the state, or the dense systems.  Three
-rules make the kept marches safe to share:
+its layout (``_MarchStore``).  A kept pencil march holds its own arrays:
+the shifted blocks; the state with its u and right-hand sides; ``a`` and the
+inverses back to back (in real form below ``COMPLEX_MIN_SIZE``, staged as
+complex matrices in a view over the start of the state); the shifts and
+coupling rows it sliced from its tables when it was built, with the
+right-aligned coupling matrices of rows of several basis counts; the
+inverse kernel; and one element's bound calls for each count of active rows
+it has run.  A kept dense march holds its right-hand sides, coefficients and
+systems, their views, the identity it starts from and the solve kernel.  A
+repeat call at a layout it has run so allocates and binds nothing, which
+saved about 30 us at n = 3..8 and m = 8: a third of a call at E = 1 and a
+sixth at E = 8 (``BENCH_35.json``).  Its memory also stays with the
+process, where freed arrays went back to the kernel whenever glibc trimmed
+the heap and the next large call faulted them in again (``BENCH_31.json``).
+Each call still writes ``a``, the shifted blocks, their inverses and the
+state, or the dense systems.  Three rules make the kept marches safe to
+share:
 
 * A march takes a kept march out of the store and gives it back however it
   ends, both under one lock, so no two live marches ever share one and
@@ -98,8 +98,11 @@ rules make the kept marches safe to share:
 * The kept marches take at most ``SPARE_BYTES`` in all, counting every
   array each one keeps and the calls it binds: the least recently used
   marches are dropped first, and a march that alone is larger is not kept,
-  so one huge call pins no memory once it returns.  No march of several rows
-  takes more than ``SPARE_BYTES`` (``expm_each``), so each one can be kept.
+  so one huge call pins no memory once it returns.  ``expm_each`` admits a
+  row to a pencil march of several rows only while the march stays within
+  ``SPARE_BYTES``, so each of those is kept.  A dense march has no such
+  bound: at n = 2, m = 40 the march over E = 1..100 takes more than
+  ``SPARE_BYTES``, and is not kept.
 * It is only memory: each march writes every array before reading it, the
   whole state included, and returns fresh arrays, so no result depends on
   what a kept march held.
@@ -228,21 +231,18 @@ def assemble_system(a: np.ndarray, scale: float | np.ndarray, tables: BasisTable
     return out
 
 
-def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray, out=None) -> np.ndarray:
+def assemble_rhs(a: np.ndarray, psi_prev: np.ndarray, load: np.ndarray) -> np.ndarray:
     """Right-hand sides ``load[mu'] * (a @ psi_prev)[i, j]`` at row (mu', i), column j;
     the product sums in ascending order, so nested loops reproduce it bitwise.
 
     States stacked as (rows, 1, n, n) give one (n*m) x n block per row: their
-    unit axis broadcasts against the basis axis.  ``out``, a C-contiguous
-    array of the result's shape, receives the same values and is returned.
+    unit axis broadcasts against the basis axis.  The dense march writes the
+    same product through views of its own right-hand sides.
     """
     n = a.shape[0]
     # np.einsum's own call, without its Python wrapper
     product = c_einsum("ik,...kj->...ij", a, psi_prev)
-    if out is None:
-        return (load[:, None, None] * product).reshape(psi_prev.shape[:-3] + (-1, n))
-    np.multiply(load[:, None, None], product, out=out.reshape(out.shape[:-2] + (-1, n, n)))
-    return out
+    return (load[:, None, None] * product).reshape(psi_prev.shape[:-3] + (-1, n))
 
 
 def expm(a, num_elements: int = 8, num_basis: int = 8) -> ExpmReport:
@@ -307,12 +307,13 @@ def expm_each(a, rows) -> list:
     * for n <= 2, it has that march's basis count;
     * from n = 3, n < ``COMPLEX_MIN_SIZE``, its element count is at most
       that of the march's last row, and the march stays within
-      ``SPARE_BYTES``, priced by ``_pencil_layout`` with every row's basis
+      ``SPARE_BYTES``, priced by ``_pencil_price`` with every row's basis
       steps counted at the march's first, largest, basis count M;
 
     and otherwise starts a new march.  So a sweep over either count, and
     each basis count of a minimum-basis search, is one march wherever it
-    fits, and every march of several rows is kept.
+    fits, and every pencil march of several rows is kept.  A dense march
+    is not bounded and is kept only if it fits (module docstring).
     """
     a = as_complex_matrix(a)
     rows = [_checked_row(*row) for row in rows]
@@ -326,7 +327,7 @@ def expm_each(a, rows) -> list:
         num_rows = len(marches[-1]) + 1 if marches else 0
         if marches and (tables.m == m if n < PENCIL_MIN_SIZE else (
                 n < COMPLEX_MIN_SIZE and num_elements <= rows[marches[-1][-1]][0]
-                and _pencil_layout(n, 2, m, num_rows, num_rows * m)[-1] <= SPARE_BYTES)):
+                and _pencil_price(n, 2, m, num_rows, num_rows * m) <= SPARE_BYTES)):
             marches[-1].append(row)
         else:
             # a new march, whose first row has its largest basis count m
@@ -381,16 +382,18 @@ def _segments(element_counts):
 
 
 class _MarchStore:
-    """Marches kept between calls by layout, with at most ``SPARE_BYTES`` of
-    arrays in all, each march counted at its ``nbytes`` (module docstring).
+    """Marches kept between calls by layout, each counted at its ``nbytes``,
+    its own arrays and the calls it binds, with at most ``SPARE_BYTES`` in
+    all (module docstring).
 
     ``take`` removes a march from the store, so no other march can take it
     until ``give_back`` returns it; both hold the lock, so ``expm`` stays
-    reentrant and thread-safe.  It keeps whole marches, so two layouts that
-    together exceed ``SPARE_BYTES`` evict each other on every call:
-    alternating ``expm`` at (n, m) = (96, 16) and (64, 8), E = 1, took 21.6
-    minor faults per call against 13.2 with one shared buffer, though still
-    less time (``BENCH_35.json`` ``layout_thrash``).
+    reentrant and thread-safe.  It keeps whole marches, each with arrays of
+    its own, so two layouts that together exceed ``SPARE_BYTES`` evict each
+    other on every call: alternating ``expm`` at (n, m) = (96, 16) and
+    (64, 8), E = 1, took 21.6 minor faults per call against 13.2 when one
+    byte buffer served every layout, though still less time
+    (``BENCH_35.json`` ``layout_thrash``).
     """
 
     def __init__(self):
@@ -448,31 +451,31 @@ def _held_bytes(bound, shared) -> int:
 
 class _DenseMarch:
     """What a dense march over ``num_rows`` rows of basis count m at size n
-    needs besides ``a`` and its element counts: one buffer for each element's
-    right-hand sides and coefficients and for the systems, views of it,
-    ``load`` shaped to scale each right-hand side block, and the solve kernel.
+    needs besides ``a`` and its element counts: each element's right-hand
+    sides and coefficients, the systems, views of them, ``load`` shaped to
+    scale each right-hand side block, and the solve kernel.
 
     ``per_col`` holds the coefficients as (column, basis, row), one contiguous
     (m, n) block per column, evaluated at +1; the solve writes them through
     ``coeffs``, a view that orders each row's (basis, row) x column block by
-    columns.
+    columns.  ``written`` lists the arrays that every call writes before it
+    reads them.
     """
 
     def __init__(self, key, n, tables, num_rows):
         self.key = key
         m = tables.m
-        size = num_rows * m * n * n
-        self.buffer = np.empty(2 * size + num_rows * (m * n) ** 2, dtype=np.complex128)
-        self.rhs = self.buffer[:size].reshape(num_rows, m * n, n)
-        self.per_col = self.buffer[size:2 * size].reshape(num_rows, 1, n, m, n)
+        self.rhs = np.empty((num_rows, m * n, n), dtype=np.complex128)
+        self.per_col = np.empty((num_rows, 1, n, m, n), dtype=np.complex128)
         self.coeffs = self.per_col.transpose(0, 1, 3, 4, 2).reshape(self.rhs.shape)
-        self.systems = self.buffer[2 * size:].reshape(num_rows, m * n, m * n)
+        self.systems = np.empty((num_rows, m * n, m * n), dtype=np.complex128)
+        self.written = [self.rhs, self.per_col, self.systems]
         self.load = tables.load[:, None, None]
         self.identity = np.eye(n, dtype=np.complex128)[None, None]
         self.identity.setflags(write=False)
         self.solve = functools.partial(_umath_linalg.solve, signature="DD->D")
         # what the store counts; bind adds what it makes
-        self.nbytes = self.buffer.nbytes + self.identity.nbytes
+        self.nbytes = sum(array.nbytes for array in self.written) + self.identity.nbytes
         # bind's results by count of active rows
         self.bound = {}
 
@@ -500,7 +503,7 @@ def _dense_propagate(a: np.ndarray, rows):
     element counts in descending order.
 
     Rows sit on the leading axis of the systems, of the states, which stack
-    as (rows, 1, n, n) (``assemble_rhs``), and of the buffers that each
+    as (rows, 1, n, n) (``assemble_rhs``), and of the arrays that each
     element writes, which come from a kept march (``_DenseMarch``).
     """
     n = a.shape[0]
@@ -546,45 +549,39 @@ def _dense_propagate(a: np.ndarray, rows):
     return results[::-1]
 
 
-def _pencil_layout(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> list:
-    """Where a pencil march's arrays start in its buffer, the buffer's size
-    and the march's price, in bytes: ``[state, u, rhs, forms, size, price]``.
+def _pencil_price(n: int, p: int, m: int, num_rows: int, num_blocks: int) -> int:
+    """The most bytes a pencil march over ``num_rows`` rows and ``num_blocks``
+    basis steps, ``m`` the largest count, keeps: its arrays and its bound calls.
 
-    The buffer holds, each array starting on 64 bytes: the ``num_blocks``
-    complex n x n shifted blocks; per row its ``m + 1`` state blocks, u and
-    the right-hand side; and ``forms``, ``a`` and then the inverses back to
-    back in the march's form (for ``p = 2`` real forms, of four times the
-    entries at half the bytes each).  For ``p = 2`` the same as complex
-    matrices, from which one ``real_form`` call writes ``forms``, are staged
-    in the state's region: its ``num_rows (m + 1)`` blocks hold the
-    ``num_blocks + 1``, as no row has more than ``m`` basis steps, and each
-    call sets the state only after it has read the stage.  The price adds the
-    arrays a march keeps outside its buffer, at their largest: a right-aligned
-    coupling matrix per row, ``p (m + 1)`` square at ``16 / p`` bytes an
-    entry, and per block a shift and a row index, 24 bytes; and the most its
-    bound calls can take (``_PencilMarch.bind``).  ``expm_each`` admits rows at
-    this price, with ``num_rows m`` blocks, and a march counts at most its
-    price (``nbytes``).
+    Its arrays are the ``num_blocks`` complex n x n shifted blocks; per row
+    its ``m + 1`` state blocks, u and the right-hand side; and ``forms``,
+    ``a`` and then the inverses in the march's form (for ``p = 2`` real forms,
+    of four times the entries at half the bytes each).  Besides them it keeps,
+    at their largest, a right-aligned coupling matrix per row, ``p (m + 1)``
+    square at ``16 / p`` bytes an entry, and per block a shift and a row
+    index, 24 bytes; and its bound calls (``_PencilMarch.bind``), priced
+    below.  ``expm_each`` admits rows at this price, with ``num_rows m``
+    blocks, and a march counts at most its price (``nbytes``) while its bound
+    calls take at most 1 KiB each on average.
     """
-    block = 16 * n * n
-    sizes = (num_blocks, num_rows * (m + 1), num_rows, num_rows, p * (num_blocks + 1))
-    # each array ends where the next starts
-    ends = list(itertools.accumulate(-(-block * size // 64) * 64 for size in sizes))
+    blocks = num_blocks + num_rows * (m + 1) + 2 * num_rows + p * (num_blocks + 1)
     # bind makes one set per count of active rows, at most num_rows: m steps, an
     # end per run of one basis count, so at most k for k active rows, and the
-    # set itself, each priced at 1 KiB.  The most measured is 0.8 KiB on
-    # average, for a basis sweep bound at every count (_held_bytes, CPython 3.11)
+    # set itself, each priced at 1 KiB.  An n = 5 element sweep binds 0.97 KiB
+    # on average (_held_bytes, CPython 3.11); rows of several basis counts from
+    # m = 40 down, bound at every count, up to 1.03 KiB
     bound = 1024 * (num_rows * m + num_rows * (num_rows + 1) // 2 + num_rows)
-    return ends + [ends[-1] + 16 * p * num_rows * (m + 1) ** 2 + 24 * num_blocks + bound]
+    return 16 * n * n * blocks + 16 * p * num_rows * (m + 1) ** 2 + 24 * num_blocks + bound
 
 
 class _PencilMarch:
     """What a pencil march needs besides ``a`` and its element counts, for
-    rows of given basis counts at size n: its layout, the views of its buffer,
-    the shifts and coupling rows sliced from its tables once, when it is
-    built, and, per count of active rows, one element's bound calls (``bind``).
+    rows of given basis counts at size n: its arrays, the shifts and coupling
+    rows sliced from its tables once, when it is built, and, per count of
+    active rows, one element's bound calls (``bind``).  ``written`` lists the
+    arrays that every call writes before it reads them.
 
-    Row r's basis step k sits at position ``m - m_r + k`` of its buffers and
+    Row r's basis step k sits at position ``m - m_r + k`` of its arrays and
     inverses, and its state at ``m``, where ``m`` is the first row's, largest,
     count.  Below ``COMPLEX_MIN_SIZE`` (``p = 2``) each block is held as the
     stacked real ``[Re Y[k]; Im Y[k]]`` in two of its rows, and ``a``, the
@@ -631,38 +628,34 @@ class _PencilMarch:
             for first, stop, own in self.runs:
                 self.coupling[first:stop, size - own.shape[0]:, size - own.shape[0]:] = own
             kept.append(self.coupling)
-            self.couples = []
-        else:
-            # rows of one basis count share their coupling rows, which broadcast
-            # over however many rows are active
-            self.couples = [functools.partial(np.matmul, step) for step in self.first_steps]
-        # the large arrays are views of one buffer (_pencil_layout)
         num_blocks, num_rows = self.offsets[-1], len(rows)
-        state_at, u_at, rhs_at, forms_at, nbytes, _ = _pencil_layout(n, p, m, num_rows, num_blocks)
-        buffer = self.buffer = np.empty(nbytes, dtype=np.uint8)
-        # what the store counts: the buffer and every array kept outside it; bind
-        # adds what it makes
-        self.nbytes = buffer.nbytes + sum(array.nbytes for array in kept)
         # shifted: the diagonal blocks of the triangularised system, one per
         # basis step and row, inverted as complex matrices
-        self.shifted = np.ndarray((num_blocks, n, n), np.complex128, buffer)
+        self.shifted = np.empty((num_blocks, n, n), dtype=np.complex128)
         self.diagonals = self.shifted.reshape(num_blocks, n * n)[:, ::n + 1]
-        self.state = np.ndarray((num_rows, p * (m + 1), n * n), dtype, buffer, state_at)
+        self.state = np.empty((num_rows, p * (m + 1), n * n), dtype=dtype)
         # psi's diagonal in the flattened (real part of the) state
         self.psi_diagonal = self.state[:, p * m, ::n + 1]
-        self.u_rows = np.ndarray((num_rows, p, n * n), dtype, buffer, u_at)
-        self.rhs = np.ndarray((num_rows, p * n, n), dtype, buffer, rhs_at)
+        self.u_rows = np.empty((num_rows, p, n * n), dtype=dtype)
+        self.rhs = np.empty((num_rows, p * n, n), dtype=dtype)
         # a and the inverses in the march's form, back to back
-        self.forms = np.ndarray((num_blocks + 1, p * n, p * n), dtype, buffer, forms_at)
+        self.forms = np.empty((num_blocks + 1, p * n, p * n), dtype=dtype)
         self.a_form, self.inverse = self.forms[0], self.forms[1:]
-        # where each call writes a and the inverse kernel the inverses: for real
-        # forms a complex stage of the same layout in the state's region, which
-        # one real_form call embeds into forms, and for complex operands forms itself
-        self.stage = self.forms if p == 1 else np.ndarray((num_blocks + 1, n, n), np.complex128, buffer, state_at)
+        # where each call writes a and the inverse kernel the inverses: for
+        # complex operands forms itself, and for real forms a complex stage of
+        # the same layout over the start of the state, which one real_form call
+        # embeds into forms.  The state's num_rows (m + 1) blocks hold its
+        # num_blocks + 1, as no row has more than m basis steps, and each call
+        # sets the state only after it has read the stage
+        self.stage = self.forms if p == 1 else np.ndarray((num_blocks + 1, n, n), np.complex128, self.state)
         self.staged_inverse = self.stage[1:]
         self.invert = functools.partial(_umath_linalg.inv, signature="D->D")
         self.blocks = self.state.reshape(num_rows, m + 1, p * n, n)
         self.u_blocks = self.u_rows.reshape(num_rows, p * n, n)
+        self.written = [self.shifted, self.state, self.u_rows, self.rhs, self.forms]
+        # what the store counts: these arrays and those kept besides them; bind
+        # adds what it makes
+        self.nbytes = sum(array.nbytes for array in self.written + kept)
         # bind's results by count of active rows
         self.bound = {}
 
@@ -678,29 +671,23 @@ class _PencilMarch:
         p, m, state, u_rows, first_steps = self.p, self.m, self.state, self.u_rows, self.first_steps
         times_a = functools.partial(np.matmul, self.a_form)
         steps = []
-        # the first row's 2-D operands, which a position with one active row binds,
-        # and the stacked operands of the first rows_k rows, sliced once per count
-        first_state, first_u, first_rhs, first_blocks = state[0], u_rows[0], self.rhs[0], self.blocks[0]
-        first_u_blocks = self.u_blocks[0]
-        stacked = {}
         for k in range(m - 1, -1, -1):
             rows_k = min(num_active, self.active[k])
             offset = self.offsets[k]
             if rows_k == 1:
                 # ndarray.dot bound once skips np.dot's dispatch, dearer than the
                 # arithmetic at small n; every output is C-contiguous and aliases no input
-                steps.append((first_steps[k].dot, first_state[p * k + p:], first_u, self.a_form.dot,
-                              first_u_blocks, first_rhs, self.inverse[offset].dot, first_blocks[k]))
+                steps.append((first_steps[k].dot, state[0, p * k + p:], u_rows[0], self.a_form.dot,
+                              self.u_blocks[0], self.rhs[0], self.inverse[offset].dot, self.blocks[0, k]))
                 continue
-            if rows_k not in stacked:
-                stacked[rows_k] = (state[:rows_k], u_rows[:rows_k], self.u_blocks[:rows_k],
-                                   self.rhs[:rows_k], self.blocks[:rows_k])
-            row_state, row_u, row_u_blocks, row_rhs, row_blocks = stacked[rows_k]
-            couple = self.couples[k] if len(self.runs) == 1 else functools.partial(
-                np.matmul, self.coupling[:rows_k, p * k:p * k + p, p * k + p:])
-            steps.append((couple, row_state[:, p * k + p:], row_u, times_a, row_u_blocks, row_rhs,
+            # rows of one basis count share the first row's coupling rows, which
+            # broadcast over however many rows are active
+            coupling = (first_steps[k] if len(self.runs) == 1
+                        else self.coupling[:rows_k, p * k:p * k + p, p * k + p:])
+            steps.append((functools.partial(np.matmul, coupling), state[:rows_k, p * k + p:], u_rows[:rows_k],
+                          times_a, self.u_blocks[:rows_k], self.rhs[:rows_k],
                           functools.partial(np.matmul, self.inverse[offset:offset + rows_k]),
-                          row_blocks[:, k]))
+                          self.blocks[:rows_k, k]))
         active_runs = [(first, min(stop, num_active), coupling)
                        for first, stop, coupling in self.runs if first < num_active]
         # the end rows differ in length between basis counts; one run is one call
@@ -714,7 +701,7 @@ class _PencilMarch:
                 ends.append((functools.partial(np.matmul, end_row), state[first:stop, tail:],
                              u_rows[first:stop]))
         bound = self.bound[num_active] = steps, ends, state[:num_active, p * m:], u_rows[:num_active]
-        self.nbytes += _held_bytes(bound, [self.a_form, *self.first_steps, *self.couples])
+        self.nbytes += _held_bytes(bound, [self.a_form, *self.first_steps])
         return bound
 
 
@@ -723,7 +710,7 @@ def _pencil_propagate(a: np.ndarray, rows):
     identity, for ``(num_elements, tables)`` rows whose basis and element
     counts both descend.
 
-    Per row, a work buffer stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row
+    Per row, the state stacks ``[Y[0] ... Y[m - 1], psi]``; coupling row
     ``k < m`` forms ``u_k`` from it and row ``m`` the end state, which
     replaces ``psi``.  Set-up picks the operands by n alone (``_PencilMarch``
     and the module docstring say why), and the loop is the same for both.
@@ -749,8 +736,8 @@ def _pencil_propagate(a: np.ndarray, rows):
             march.invert(march.shifted, out=march.staged_inverse)
         if p == 2:
             real_form(march.stage, out=march.forms)
-        # the buffer holds whatever its last march left, and the stage shares the
-        # state's region, so the whole state is set, psi = I
+        # the state holds whatever its last march left, and the stage lies over
+        # its start, so the whole state is set, psi = I
         march.state.fill(0.0)
         march.psi_diagonal.fill(1.0)
         finished = []

@@ -117,20 +117,6 @@ def test_system_written_into_a_buffer_keeps_every_bit():
     assert negative_zeros > 0
 
 
-def test_rhs_written_into_a_buffer_matches_the_allocating_call_bitwise():
-    rng = np.random.default_rng(28)
-    for n in (1, 2, 3):
-        for m in (1, 5, 8):
-            tables = build_tables(m)
-            a = random_unit_disk(rng, n)
-            for psi in (random_unit_disk(rng, n), np.stack([random_unit_disk(rng, n)[None]
-                                                            for _ in range(3)])):
-                expected = assemble_rhs(a, psi, tables.load)
-                buf = np.full(expected.shape, np.nan, dtype=complex)
-                assert assemble_rhs(a, psi, tables.load, out=buf) is buf
-                assert buf.tobytes() == expected.tobytes()
-
-
 def test_propagation_of_zero_matrix_keeps_state():
     # the zero matrix gives zero right-hand sides, so an element adds nothing
     # to whatever state it starts from
@@ -395,7 +381,7 @@ def plain_pencil_expm(a, num_elements, num_basis):
 
     It reads only the coupling matrix ``tables.pencil`` and inverts each
     shifted block on its own.  From ``COMPLEX_MIN_SIZE`` on, ``expm``'s bound
-    methods, shared work buffer and stacked inverse must reproduce it bit for
+    methods, shared state and stacked inverse must reproduce it bit for
     bit; below it, ``expm`` multiplies real forms and agrees to rounding.
     """
     n = a.shape[0]
@@ -671,7 +657,7 @@ def test_reports_and_tables_compare_and_hash_by_identity():
 
 def test_results_own_their_memory():
     # both solves keep their working memory in marches kept between calls;
-    # every result must still be a fresh array, not a view of a kept buffer
+    # every result must still be a fresh array, not a view of a kept array
     # or one that keeps it alive, and a later call must leave it alone
     rng = np.random.default_rng(66)
     for n in (2, 3, 5, 6, 16, 32, 40, 64):
@@ -685,7 +671,8 @@ def test_results_own_their_memory():
             assert result.flags.c_contiguous and result.flags.writeable
             assert result.flags.owndata
             for march in kept_marches():
-                assert not np.shares_memory(result, march.buffer)
+                for array in march.written:
+                    assert not np.shares_memory(result, array)
         for one, other in itertools.combinations((first, second, third, *rows), 2):
             assert not np.shares_memory(one, other)
         assert np.array_equal(first, kept)
@@ -867,9 +854,8 @@ def one_expm(n, num_elements, num_basis):
 
 def three_rows(n, m):
     """A ``SPARE_BYTES`` that admits three real-form rows of basis count m at size n
-    to one march, priced as ``expm_each`` prices them: the buffer and the arrays
-    kept outside it."""
-    return propagator._pencil_layout(n, 2, m, 3, 3 * m)[-1]
+    to one march, priced as ``expm_each`` prices them."""
+    return propagator._pencil_price(n, 2, m, 3, 3 * m)
 
 
 def assert_march_matches_one_expm_per_row(n, rows):
@@ -955,7 +941,7 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
     # (n <= 2) marches one basis count; from n = 3 real-form rows march
     # together while their element counts do not grow and the march fits in
     # SPARE_BYTES, each row priced at 4 M + 3 complex n x n blocks of the
-    # march's first basis count M, the arrays kept outside the buffer and the
+    # march's first basis count M, the arrays it keeps besides them and the
     # most its bound calls take (36 rows of m = 8 at n = 16, 24 at n = 24, 7 of
     # m = 16 at n = 32), and from n = 40 every row marches alone
     sizes = record_marches(monkeypatch, solve=False)
@@ -983,9 +969,9 @@ def test_expm_each_forms_the_pinned_marches(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 16, 24, 39])
 def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
-    # SPARE_BYTES bounds the memory of every march of several rows: each
-    # carves at most that, and so it is kept when it ends, on element sweeps
-    # and on basis sweeps that expm_each splits into several marches
+    # SPARE_BYTES bounds the memory of every pencil march of several rows:
+    # each counts at most that, and so it is kept when it ends, on element
+    # sweeps and on basis sweeps that expm_each splits into several marches
     store = fresh_store(monkeypatch)
     given, stacked = [], []
 
@@ -999,7 +985,7 @@ def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
         (march,) = given
         if len(rows) > 1:
             stacked.append(len(rows))
-            assert march.buffer.nbytes <= propagator.SPARE_BYTES, f"n={n} rows={rows}"
+            assert march.nbytes <= propagator.SPARE_BYTES, f"n={n} rows={rows}"
             assert store._marches.get(march.key) is march, f"n={n} rows={rows}"
         return results
 
@@ -1010,6 +996,21 @@ def test_every_stacked_march_keeps_its_buffer(monkeypatch, n):
         stacked.clear()
         assert len(expm_each(march_matrix(n), rows)) == len(rows)
         assert stacked, f"n={n} rows={rows}"
+
+
+def test_dense_march_beyond_the_bound_is_not_kept(monkeypatch):
+    # expm_each bounds no dense march: at n = 2, m = 40 the march over
+    # E = 1..100 takes more than SPARE_BYTES.  Every row still equals its own
+    # expm call to the bit, the store stays within its bound, and that march
+    # is not kept, where the march over E = 1..59 is
+    for top, kept in ((100, []), (59, [("dense", 2, 40, 59)])):
+        store = fresh_store(monkeypatch)
+        rows = [(count, 40) for count in range(1, top + 1)]
+        results = expm_each(march_matrix(2), rows)
+        assert_store_within_bound(store)
+        assert [march.key for march in kept_marches()] == kept, top
+        for (num_elements, num_basis), result in zip(rows, results):
+            assert result.tobytes() == one_expm(2, num_elements, num_basis).tobytes(), num_elements
 
 
 def test_stacked_march_checks_counts_before_any_solve(monkeypatch):
@@ -1110,16 +1111,17 @@ def test_singular_block_raises_through_each_bound_kernel(monkeypatch):
                 assert marches[-1] == num_rows, (size, rows)
 
 
-def byte_span(view, buffer):
-    """The bytes of ``buffer`` that ``view``, an array of positive strides, covers."""
-    start = view.ctypes.data - buffer.ctypes.data
+def byte_span(view, array):
+    """The bytes of ``array`` that ``view``, an array of positive strides, covers."""
+    start = view.ctypes.data - array.ctypes.data
     return start, start + sum((length - 1) * stride for length, stride in zip(view.shape, view.strides)) + view.itemsize
 
 
-def test_pencil_layout_carves_each_array_inside_its_own_region():
-    # the regions of _pencil_layout follow each other; each view a march carves
-    # lies inside its own one; a and the inverses, and their complex stage, are
-    # the back-to-back runs that one real_form call writes; and after binding
+def test_pencil_march_stages_in_its_state_within_its_price():
+    # the arrays a march writes share no memory, and each view lies inside its
+    # own array, except the real-form stage, which lies over the start of the
+    # state alone; a and the inverses, and their complex stage, are the
+    # back-to-back runs that one real_form call writes; and after binding
     # every count of active rows a march counts no more than its price
     rng = np.random.default_rng(3700)
     layouts = ([(1, 8)], [(count, 5) for count in range(9, 0, -1)], [(3, m) for m in range(9, 0, -1)],
@@ -1128,22 +1130,22 @@ def test_pencil_layout_carves_each_array_inside_its_own_region():
         rows = [(count, build_tables(m)) for count, m in rows]
         march = propagator._PencilMarch(("test",), n, p, rows)
         m, num_blocks = rows[0][1].m, sum(tables.m for _, tables in rows)
-        *starts, size, price = propagator._pencil_layout(n, p, m, len(rows), num_blocks)
-        bounds = [0, *starts, size]
-        assert all(start % 64 == 0 for start in starts) and bounds == sorted(bounds)
-        assert march.buffer.nbytes == size
-        region = dict(zip(("shifted", "state", "u", "rhs", "forms"), zip(bounds, bounds[1:])))
-        views = {"shifted": [march.shifted, march.diagonals],
-                 "state": [march.state, march.psi_diagonal, march.blocks],
-                 "u": [march.u_rows, march.u_blocks], "rhs": [march.rhs],
-                 "forms": [march.forms, march.a_form, march.inverse]}
-        # real forms stage a and the inverses in the state's region, which each
-        # call sets only after reading the stage
-        views["state" if p == 2 else "forms"] += [march.stage, march.staged_inverse]
-        for name, arrays in views.items():
-            for view in arrays:
-                low, high = byte_span(view, march.buffer)
-                assert region[name][0] <= low < high <= region[name][1], (n, p, name)
+        price = propagator._pencil_price(n, p, m, len(rows), num_blocks)
+        for one, other in itertools.combinations(march.written, 2):
+            assert not np.shares_memory(one, other), (n, p)
+        # real forms stage a and the inverses over the start of the state,
+        # which each call sets only after reading the stage
+        home = march.state if p == 2 else march.forms
+        owned = ((march.shifted, [march.diagonals]), (march.state, [march.psi_diagonal, march.blocks]),
+                 (march.u_rows, [march.u_blocks]), (march.forms, [march.a_form, march.inverse]),
+                 (home, [march.stage, march.staged_inverse]))
+        for array, views in owned:
+            for view in views:
+                low, high = byte_span(view, array)
+                assert 0 <= low < high <= array.nbytes, (n, p)
+        assert march.stage.ctypes.data == home.ctypes.data
+        for array in march.written:
+            assert np.shares_memory(march.stage, array) == (array is home), (n, p)
         for stacked, first, rest in ((march.forms, march.a_form, march.inverse),
                                      (march.stage, march.stage[0], march.staged_inverse)):
             assert stacked.flags.c_contiguous and stacked.shape[0] == num_blocks + 1
@@ -1158,7 +1160,7 @@ def test_pencil_layout_carves_each_array_inside_its_own_region():
             march.bind(num_active)
         assert march.nbytes <= price, (n, p, [tables.m for _, tables in rows])
         # expm_each prices a march with every row at its first basis count
-        assert price <= propagator._pencil_layout(n, p, m, len(rows), len(rows) * m)[-1]
+        assert price <= propagator._pencil_price(n, p, m, len(rows), len(rows) * m)
 
 
 def fresh_store(monkeypatch):
@@ -1182,13 +1184,14 @@ def kept_marches():
     return list(propagator._kept_marches._marches.values())
 
 
-def poison_kept_buffers():
-    """Fill every buffer of the kept marches with NaN."""
+def poison_kept_arrays():
+    """Fill every array that the kept marches write with NaN."""
     for march in kept_marches():
-        march.buffer.view(np.float64).fill(np.nan)
+        for array in march.written:
+            array.view(np.float64).fill(np.nan)
 
 
-def kept_buffer_calls():
+def kept_march_calls():
     """Calls over every layout: single dense, real-form and complex rows, a
     dense and a stacked element sweep, a right-aligned basis sweep and a mixed
     row list."""
@@ -1224,9 +1227,9 @@ def fresh_references(monkeypatch, calls):
 
 
 def test_kept_buffer_holds_no_state(monkeypatch):
-    # a kept march is only memory: with NaN in every byte of every kept
-    # buffer before each call, each call is bitwise what it is with no march kept
-    calls = kept_buffer_calls()
+    # a kept march is only memory: with NaN in every byte of every array a
+    # kept march writes before each call, each call is bitwise what it is with no march kept
+    calls = kept_march_calls()
     references = fresh_references(monkeypatch, calls)
     store = fresh_store(monkeypatch)
     taken, given = [], []
@@ -1235,7 +1238,7 @@ def test_kept_buffer_holds_no_state(monkeypatch):
                         lambda march, _real=store.give_back: given.append(march.key) or _real(march))
     for _ in range(2):
         for call, reference in zip(calls, references):
-            poison_kept_buffers()
+            poison_kept_arrays()
             assert_bitwise_equal(call(), reference)
             # each march gives back the march of the layout it took, within the bound
             assert given == taken
@@ -1253,41 +1256,40 @@ def test_alternating_sizes_hold_no_state(monkeypatch):
     fresh_store(monkeypatch)
     for _ in range(2):
         for call, reference in zip(calls, references):
-            poison_kept_buffers()
+            poison_kept_arrays()
             assert_bitwise_equal(call(), reference)
     assert len(kept_marches()) == 3
 
 
-def test_consecutive_calls_march_in_one_kept_buffer(monkeypatch):
+def test_consecutive_calls_march_in_the_same_kept_arrays(monkeypatch):
     marched_in = []
 
     def inverting(blocks, out, _real=propagator._umath_linalg.inv, **kwargs):
-        marched_in.append((blocks, out))
+        marched_in.append((blocks.ctypes.data, out.ctypes.data))
         return _real(blocks, out=out, **kwargs)
 
     store = bind_kernels(monkeypatch, inv=inverting)
     a = march_matrix(32)
     expm(a)
     (kept,) = kept_marches()
-    address = kept.buffer.ctypes.data
+    addresses = [array.ctypes.data for array in kept.written]
     expm(a)
-    assert kept_marches() == [kept] and kept.buffer.ctypes.data == address
-    # both calls carved from it their shifted blocks and the stage the
-    # inverses are written to
-    assert len(marched_in) == 2
-    assert all(np.shares_memory(array, kept.buffer) for pair in marched_in for array in pair)
-    # with a cap below one march's buffer, nothing is kept
-    monkeypatch.setattr(propagator, "SPARE_BYTES", kept.buffer.nbytes - 1)
+    assert kept_marches() == [kept] and [array.ctypes.data for array in kept.written] == addresses
+    # both calls inverted the same shifted blocks into the same stage, which
+    # lies over the start of the state
+    assert marched_in == [(kept.shifted.ctypes.data, kept.state.ctypes.data + kept.stage[0].nbytes)] * 2
+    # with a cap below one march's count, nothing is kept
+    monkeypatch.setattr(propagator, "SPARE_BYTES", kept.nbytes - 1)
     store = fresh_store(monkeypatch)
     expm(a)
     assert kept_marches() == [] and store.nbytes == 0
 
 
 def test_repeat_call_reuses_its_kept_march(monkeypatch):
-    # a march's layout, views and bound calls depend on n and the basis counts
+    # a march's arrays, views and bound calls depend on n and the basis counts
     # alone: a repeat call at a size it has run, whatever its matrix and element
-    # count, neither lays out, carves nor binds anything, and a call at a new
-    # size builds its own march
+    # count, neither allocates nor binds anything, and a call at a new size
+    # builds its own march, without pricing it
     fresh_store(monkeypatch)
     built = []
     for march in (propagator._DenseMarch, propagator._PencilMarch):
@@ -1296,16 +1298,15 @@ def test_repeat_call_reuses_its_kept_march(monkeypatch):
             return _real(self, num_active)
 
         monkeypatch.setattr(march, "bind", binding)
-    for name in ("_pencil_layout", "_DenseMarch", "_PencilMarch"):
+    for name in ("_pencil_price", "_DenseMarch", "_PencilMarch"):
         def counting(*args, _name=name, _real=getattr(propagator, name)):
             built.append(_name)
             return _real(*args)
 
         monkeypatch.setattr(propagator, name, counting)
     rng = np.random.default_rng(3536)
-    for n, layout in ((2, ["_DenseMarch", "bind"]), (4, ["_PencilMarch", "_pencil_layout", "bind"]),
-                      (8, ["_PencilMarch", "_pencil_layout", "bind"]),
-                      (40, ["_PencilMarch", "_pencil_layout", "bind"])):
+    for n, layout in ((2, ["_DenseMarch", "bind"]), (4, ["_PencilMarch", "bind"]), (8, ["_PencilMarch", "bind"]),
+                      (40, ["_PencilMarch", "bind"])):
         built.clear()
         expm(random_unit_disk(rng, n), 3)
         assert built == layout, f"n={n}"
@@ -1318,7 +1319,7 @@ def test_repeat_call_reuses_its_kept_march(monkeypatch):
         expm(random_unit_disk(rng, n), 3, 5)
         assert built == layout, f"n={n}"
     # a stacked march binds once per count of active rows, on the first call
-    # (expm_each prices each row it admits with _pencil_layout, every call)
+    # (expm_each prices each row it admits with _pencil_price, every call)
     rows = [(count, 8) for count in range(1, 6)]
     for binds in (5, 0):
         built.clear()
@@ -1328,7 +1329,7 @@ def test_repeat_call_reuses_its_kept_march(monkeypatch):
 
 def test_kept_marches_stay_within_the_bound(monkeypatch):
     # over many layouts, single rows and sweeps mixed, the store drops its
-    # least recently used marches and its buffers never take more than
+    # least recently used marches and its marches never take more than
     # SPARE_BYTES in all; the march just given back is always kept
     store = fresh_store(monkeypatch)
     layouts = set()
@@ -1350,8 +1351,8 @@ def test_kept_marches_stay_within_the_bound(monkeypatch):
 
 
 def test_store_counts_what_its_marches_keep(monkeypatch):
-    # the store counts every array a kept march holds, its buffer and what it
-    # keeps outside it, such as the right-aligned coupling matrices of a basis
+    # the store counts every array a kept march holds, those it writes and
+    # those it keeps besides, such as the right-aligned coupling matrices of a basis
     # sweep, and the calls bind makes, one set per count of active rows of an
     # element sweep: after one sweep into an empty store, with its tables built
     # before, the memory still allocated is within a tenth of the store's count
@@ -1369,7 +1370,7 @@ def test_store_counts_what_its_marches_keep(monkeypatch):
         (march,) = kept_marches()
         outside = [march.shifts, march.block_rows, *([march.coupling] if len(march.runs) > 1 else [])]
         assert len(march.bound) == len(set(count for count, _ in rows))
-        assert march.nbytes > march.buffer.nbytes + sum(array.nbytes for array in outside)
+        assert march.nbytes > sum(array.nbytes for array in march.written + outside)
         assert store.nbytes == march.nbytes <= retained <= 1.1 * store.nbytes, rows
 
 
@@ -1419,7 +1420,7 @@ def test_failed_march_gives_its_buffer_back(monkeypatch):
         with pytest.raises(np.linalg.LinAlgError):
             expm(4.0 * np.eye(size), 3, 1)
     assert len(kept_marches()) == 3 and kept_marches()[0] is kept
-    poison_kept_buffers()
+    poison_kept_arrays()
     assert expm(a).result.tobytes() == reference.tobytes()
     # the forced infinite inverse of test_pencil_overflowing_inverse_is_reported,
     # at the same layout as a's march, which it takes and gives back
@@ -1428,7 +1429,7 @@ def test_failed_march_gives_its_buffer_back(monkeypatch):
         with pytest.raises(OverflowError, match="solution"):
             expm(np.eye(16) / 4.0)
     assert len(kept_marches()) == 3 and kept_marches()[-1] is kept
-    poison_kept_buffers()
+    poison_kept_arrays()
     assert expm(a).result.tobytes() == reference.tobytes()
 
 
@@ -1436,7 +1437,7 @@ def test_threads_never_share_a_kept_buffer(monkeypatch):
     # more threads than cores, switching often: each runs expm on its own
     # matrix, or one expm_each sweep, again and again and checks every result
     # against the one computed beforehand on one thread; two marches in one
-    # buffer would overwrite each other's state.  Two pairs of threads run
+    # kept march's arrays would overwrite each other's state.  Two pairs of threads run
     # the same layouts, so they contend for one kept march
     store = fresh_store(monkeypatch)
     rng = np.random.default_rng(3131)
